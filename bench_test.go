@@ -467,7 +467,7 @@ func BenchmarkPerfQuantileSession(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		a, err := nw.Quantile(values, 0.9, 0.5)
+		a, err := nw.Run(QuantileOf(values, 0.9, 0.5))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -501,7 +501,7 @@ func BenchmarkPerfTelemetry(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := nw.Quantile(values, 0.9, 0.5); err != nil {
+			if _, err := nw.Run(QuantileOf(values, 0.9, 0.5)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -524,7 +524,7 @@ func BenchmarkPerfTelemetry(b *testing.B) {
 				b.Fatal(err)
 			}
 			start := time.Now()
-			if _, err := nw.Quantile(values, 0.9, 0.5); err != nil {
+			if _, err := nw.Run(QuantileOf(values, 0.9, 0.5)); err != nil {
 				b.Fatal(err)
 			}
 			return time.Since(start)
@@ -601,7 +601,7 @@ func BenchmarkPerfGraphNeighbors(b *testing.B) {
 func BenchmarkFacadeAverage(b *testing.B) {
 	values := benchValues(benchN)
 	for i := 0; i < b.N; i++ {
-		if _, err := Average(Config{N: benchN, Seed: uint64(i)}, values); err != nil {
+		if _, err := runOnce(Config{N: benchN, Seed: uint64(i)}, AverageOf(values)); err != nil {
 			b.Fatal(err)
 		}
 	}

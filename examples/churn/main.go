@@ -42,19 +42,20 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg := drrgossip.Config{N: n, Seed: 77, Faults: plan}
-		ave, err := drrgossip.Average(cfg, values)
+		net, err := drrgossip.New(drrgossip.Config{N: n, Seed: 77, Faults: plan})
 		if err != nil {
 			log.Fatalf("%s: %v", sc.spec, err)
 		}
-		sum, err := drrgossip.Sum(cfg, values)
-		if err != nil {
-			log.Fatalf("%s: %v", sc.spec, err)
+		run := func(q drrgossip.Query) *drrgossip.Answer {
+			ans, err := net.Run(q)
+			if err != nil {
+				log.Fatalf("%s: %s: %v", sc.spec, q.Op, err)
+			}
+			return ans
 		}
-		max, err := drrgossip.Max(cfg, values)
-		if err != nil {
-			log.Fatalf("%s: %v", sc.spec, err)
-		}
+		ave := run(drrgossip.AverageOf(values))
+		sum := run(drrgossip.SumOf(values))
+		max := run(drrgossip.MaxOf(values))
 		fmt.Printf("%-28s %7d %8d  %11.2e  %11.2e  %11.2e   %s\n",
 			sc.spec, ave.Alive, ave.FaultCrashes,
 			agg.RelError(ave.Value, exactAve),

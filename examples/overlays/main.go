@@ -36,24 +36,27 @@ func main() {
 		values[i] = 50 + float64(i%100)
 	}
 	cfg := drrgossip.Config{N: n, Seed: 42}
-	exactAve := drrgossip.Exact(cfg, "average", values)
-	exactMax := drrgossip.Exact(cfg, "max", values)
-	exactSum := drrgossip.Exact(cfg, "sum", values)
+	exactAve, err := drrgossip.ExactOf(cfg, drrgossip.AverageOf(values))
+	fail(err)
+	exactMax, err := drrgossip.ExactOf(cfg, drrgossip.MaxOf(values))
+	fail(err)
+	exactSum, err := drrgossip.ExactOf(cfg, drrgossip.SumOf(values))
+	fail(err)
 
 	fmt.Printf("DRR-gossip over %d nodes — exact: max=%.0f ave=%.2f sum=%.0f\n\n", n, exactMax, exactAve, exactSum)
 	fmt.Printf("%-12s %10s %10s %12s %10s %10s %12s\n",
 		"topology", "max", "ave", "sum", "trees", "rounds", "msgs/node")
 
 	for _, topo := range topologies {
-		cfg := drrgossip.Config{N: n, Seed: 42, Topology: topo}
-		mx, err := drrgossip.Max(cfg, values)
+		net, err := drrgossip.New(drrgossip.Config{N: n, Seed: 42, Topology: topo})
 		fail(err)
-		av, err := drrgossip.Average(cfg, values)
+		answers, bill, err := net.RunAll([]drrgossip.Query{
+			drrgossip.MaxOf(values), drrgossip.AverageOf(values), drrgossip.SumOf(values),
+		})
 		fail(err)
-		sm, err := drrgossip.Sum(cfg, values)
-		fail(err)
-		totalRounds := mx.Rounds + av.Rounds + sm.Rounds
-		perNode := float64(mx.Messages+av.Messages+sm.Messages) / float64(n)
+		mx, av, sm := answers[0], answers[1], answers[2]
+		totalRounds := bill.Rounds
+		perNode := float64(bill.Messages) / float64(n)
 		fmt.Printf("%-12s %10.0f %10.2f %12.0f %10d %10d %12.1f\n",
 			topo, mx.Value, av.Value, sm.Value, mx.Trees, totalRounds, perNode)
 		if !mx.Consensus || !av.Consensus || !sm.Consensus {
@@ -69,10 +72,12 @@ func main() {
 	// Parameterised specs parse from text, e.g. for CLI flags:
 	topo, err := drrgossip.ParseTopology("regular:6")
 	fail(err)
-	res, err := drrgossip.Average(drrgossip.Config{N: 512, Seed: 7, Topology: topo}, values[:512])
+	net, err := drrgossip.New(drrgossip.Config{N: 512, Seed: 7, Topology: topo})
+	fail(err)
+	res, err := net.Run(drrgossip.AverageOf(values[:512]))
 	fail(err)
 	fmt.Printf("\nregular:6 average over 512 nodes = %.2f (%d trees, %d rounds)\n",
-		res.Value, res.Trees, res.Rounds)
+		res.Value, res.Trees, res.Cost.Rounds)
 }
 
 func fail(err error) {

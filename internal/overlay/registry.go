@@ -215,7 +215,8 @@ func init() {
 		HasParam:     true,
 		DefaultParam: 2,
 		Check: func(n, k int) error {
-			if k < 1 || n < 2*k+2 {
+			// k > (n-2)/2 is n < 2k+2 without overflowing 2k+2.
+			if k < 1 || k > (n-2)/2 {
 				return fmt.Errorf("overlay: smallworld needs k >= 1 and n >= 2k+2, got n=%d k=%d", n, k)
 			}
 			return nil
@@ -228,7 +229,8 @@ func init() {
 		HasParam:     true,
 		DefaultParam: 3,
 		Check: func(n, m int) error {
-			if m < 1 || n <= m+1 {
+			// m >= n-1 is n <= m+1 without overflowing m+1.
+			if m < 1 || m >= n-1 {
 				return fmt.Errorf("overlay: scalefree needs m >= 1 and n > m+1, got n=%d m=%d", n, m)
 			}
 			return nil

@@ -1,12 +1,11 @@
 // The session facade: a Network is a reusable handle on one simulated
-// network. The paper's headline economics — one preprocessing investment
-// amortized across many aggregate computations — used to be invisible in
-// this package's API: every one-shot call re-validated the Config,
-// rebuilt the overlay graph and re-measured the fault-plan horizon from
-// scratch. New(cfg) does each of those exactly once; the typed queries
-// of query.go then run against the standing session, so a Quantile
-// (up to ~80 bisection Rank steps) or a Histogram (one Rank per edge)
-// pays O(build + steps) instead of O(steps × build).
+// network, mirroring the paper's economics — one preprocessing
+// investment amortized across many aggregate computations. New(cfg)
+// validates the Config, builds the overlay graph and (lazily, per
+// operation kind) measures the fault-plan horizon exactly once; the
+// typed queries of query.go then run against the standing session, so a
+// Quantile (up to ~80 bisection Rank steps) or a Histogram (one Rank per
+// edge) pays O(build + steps) instead of O(steps × build).
 
 package drrgossip
 
@@ -111,9 +110,9 @@ type SessionStats struct {
 // the fault-plan horizon and binds the plan once per operation kind —
 // after which every query reuses the standing state. Queries themselves
 // stay independent: each protocol run starts from a fresh engine seeded
-// by Config.Seed, so a Network's answers are bit-identical to one-shot
-// runs and identical across repeated calls (determinism is per-run, not
-// per-session).
+// by Config.Seed, so a Network's answers are bit-identical to those of
+// a fresh single-use Network and identical across repeated calls
+// (determinism is per-run, not per-session).
 //
 // A Network is not safe for concurrent use; run queries sequentially.
 type Network struct {
@@ -130,7 +129,7 @@ type Network struct {
 	// bounds caches the fault plan resolved per operation kind: the
 	// horizon (total healthy rounds) differs between the max- and
 	// ave-pipelines, so fractional event timings resolve per Op — but
-	// only once per Op, where the one-shot facade re-measured per call.
+	// only once per Op, not once per run.
 	bounds map[Op]*faults.Bound
 
 	// sample caches the Config.SampleNodes id set (computed once per
@@ -173,7 +172,9 @@ func New(cfg Config) (*Network, error) {
 	if !cfg.Topology.isComplete() {
 		ov, err := cfg.buildOverlay()
 		if err != nil {
-			return nil, err
+			// Specs can pass validation yet be unbuildable (say, no
+			// connected random regular graph within the retry budget).
+			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 		}
 		nw.ov = ov
 		overlayBuilds.Add(1)
@@ -401,60 +402,49 @@ func (nw *Network) workerSession() *Network {
 	return ws
 }
 
-// Max computes the global maximum (DRR-gossip-max, Algorithm 7).
-func (nw *Network) Max(values []float64) (*Answer, error) { return nw.Run(MaxOf(values)) }
-
-// Min computes the global minimum.
-func (nw *Network) Min(values []float64) (*Answer, error) { return nw.Run(MinOf(values)) }
-
-// Sum computes the global sum (distinguished-root push-sum).
-func (nw *Network) Sum(values []float64) (*Answer, error) { return nw.Run(SumOf(values)) }
-
-// Count computes the number of surviving nodes.
-func (nw *Network) Count(values []float64) (*Answer, error) { return nw.Run(CountOf(values)) }
-
-// Average computes the global average (DRR-gossip-ave, Algorithm 8).
-func (nw *Network) Average(values []float64) (*Answer, error) { return nw.Run(AverageOf(values)) }
-
-// Rank computes Rank(q) = |{alive i : values[i] <= q}|.
-func (nw *Network) Rank(values []float64, q float64) (*Answer, error) {
-	return nw.Run(RankOf(values, q))
-}
-
-// Moments computes mean and variance in one run (Complete only).
-func (nw *Network) Moments(values []float64) (*Answer, error) { return nw.Run(MomentsOf(values)) }
-
-// Quantile approximates the φ-quantile by Rank bisection (the paper's
-// "Rank etc." reduction); see QuantileOf.
-func (nw *Network) Quantile(values []float64, phi, tol float64) (*Answer, error) {
-	return nw.Run(QuantileOf(values, phi, tol))
-}
-
-// Histogram computes len(edges)+1 bucket counts with one Rank run per
-// edge, plus one Count run for the open bucket's population when a
-// fault plan is active; see HistogramOf.
-func (nw *Network) Histogram(values []float64, edges []float64) (*Answer, error) {
-	return nw.Run(HistogramOf(values, edges))
-}
-
 // ---- execution machinery ----
 
-// protoOut is one protocol run's output: the facade-level result, plus
-// the richer moments result when the run was an OpMoments pipeline, or a
-// pre-wrapped facade Result for runs outside the core pipelines (the HMS
-// sampling session, which bills its own phase breakdown).
-type protoOut struct {
-	res *core.Result
+// runResult is one protocol run's record: protoFuncs produce it,
+// execOnce stamps the run's end-of-run membership onto it (or salvages a
+// partial one from an aborted run), and aggregate and the composite
+// drivers turn it into Answers.
+type runResult struct {
+	value      float64
+	perNode    []float64
+	consensus  bool
+	cost       Cost // Runs is 1
+	phaseCosts []PhaseCost
+	trees      int
+	// alive and the fault counters describe the end of the run.
+	alive                                   int
+	faultEvents, faultCrashes, faultRevives int
+	// mom is the full moments result of an OpMoments run (nil otherwise).
 	mom *core.MomentsResult
-	pre *Result
+}
+
+// runCost bills one run's engine counters as a single-run Cost.
+func runCost(st sim.Counters) Cost {
+	return Cost{Runs: 1, Rounds: st.Rounds, Messages: st.Messages, Drops: st.Drops}
+}
+
+// coreRun renders a core pipeline result as the run record.
+func coreRun(r *core.Result) *runResult {
+	return &runResult{
+		value:      r.Value,
+		perNode:    r.PerNode,
+		consensus:  r.Consensus,
+		cost:       runCost(r.Stats),
+		phaseCosts: phaseCosts(r.Phases),
+		trees:      r.Forest.NumTrees(),
+	}
 }
 
 // protoFunc executes one full protocol run on a fresh engine.
-type protoFunc func(eng *sim.Engine, ov overlay.Overlay) (protoOut, error)
+type protoFunc func(eng *sim.Engine, ov overlay.Overlay) (*runResult, error)
 
 // dispatch selects the dense or sparse pipeline for op.
 func dispatch(op Op, values []float64, arg float64) protoFunc {
-	return func(eng *sim.Engine, ov overlay.Overlay) (protoOut, error) {
+	return func(eng *sim.Engine, ov overlay.Overlay) (*runResult, error) {
 		var r *core.Result
 		var err error
 		switch {
@@ -464,10 +454,20 @@ func dispatch(op Op, values []float64, arg float64) protoFunc {
 			// dense Moments protocol would otherwise silently run on a
 			// sparse configuration.
 			if ov != nil {
-				return protoOut{}, errMomentsTopology(ov.Name())
+				return nil, errMomentsTopology(ov.Name())
 			}
-			m, merr := core.Moments(eng, values, core.Options{})
-			return protoOut{mom: m}, merr
+			m, err := core.Moments(eng, values, core.Options{})
+			if err != nil {
+				return nil, err
+			}
+			return &runResult{
+				value:      m.Mean,
+				perNode:    m.PerNodeMean,
+				consensus:  m.Consensus,
+				cost:       runCost(m.Stats),
+				phaseCosts: phaseCosts(m.Phases),
+				mom:        m,
+			}, nil
 		case ov == nil:
 			switch op {
 			case OpMax:
@@ -483,7 +483,7 @@ func dispatch(op Op, values []float64, arg float64) protoFunc {
 			case OpRank:
 				r, err = core.Rank(eng, values, arg, core.Options{})
 			default:
-				return protoOut{}, fmt.Errorf("%w: %s has no single-run protocol", ErrBadConfig, op)
+				return nil, fmt.Errorf("%w: %s has no single-run protocol", ErrBadConfig, op)
 			}
 		default:
 			switch op {
@@ -500,10 +500,13 @@ func dispatch(op Op, values []float64, arg float64) protoFunc {
 			case OpRank:
 				r, err = core.RankSparse(eng, ov, values, arg, core.SparseOptions{})
 			default:
-				return protoOut{}, fmt.Errorf("%w: %s has no single-run protocol", ErrBadConfig, op)
+				return nil, fmt.Errorf("%w: %s has no single-run protocol", ErrBadConfig, op)
 			}
 		}
-		return protoOut{res: r}, err
+		if err != nil {
+			return nil, err
+		}
+		return coreRun(r), nil
 	}
 }
 
@@ -526,9 +529,9 @@ func (nw *Network) engine() *sim.Engine {
 // at the top clears every hook from the previous run, so runs cannot
 // leak observability state into each other. A watchdog abort unwinds
 // the run as a *sim.AbortError panic, recovered here into a partial
-// Result (the engine's accounting at the abort round) plus the abort
+// run record (the engine's accounting at the abort round) plus the abort
 // cause as the error.
-func (nw *Network) execOnce(b *faults.Bound, op Op, run protoFunc) (res *Result, mres *core.MomentsResult, err error) {
+func (nw *Network) execOnce(b *faults.Bound, op Op, run protoFunc) (res *runResult, err error) {
 	nw.protoRuns++
 	eng := nw.engine()
 	runIdx := nw.protoRuns
@@ -575,46 +578,28 @@ func (nw *Network) execOnce(b *faults.Bound, op Op, run protoFunc) (res *Result,
 			panic(r)
 		}
 		// The watchdog unwound the run mid-protocol: salvage the engine's
-		// accounting as a partial Result and surface the cause. The
+		// accounting as a partial record and surface the cause. The
 		// telemetry run still closes, so traces show the aborted run.
-		res, mres, err = nw.partialResult(eng, b), nil, ae.Err
+		res, err = partialRun(eng, b), ae.Err
 		em.RunEnd(eng)
 	}()
-	out, rerr := run(eng, nw.ov)
-	if rerr != nil {
-		return nil, nil, rerr
+	res, err = run(eng, nw.ov)
+	if err != nil {
+		return nil, err
 	}
 	em.RunEnd(eng)
-	if out.pre != nil {
-		res = out.pre
-		res.Alive = eng.NumAlive()
-		if b != nil {
-			res.FaultEvents = b.Fired()
-			res.FaultCrashes = b.Crashed()
-			res.FaultRevives = b.Revived()
-		}
-		return res, nil, nil
-	}
-	if out.mom != nil {
-		res = &Result{
-			Value:      out.mom.Mean,
-			PerNode:    out.mom.PerNodeMean,
-			Consensus:  out.mom.Consensus,
-			Rounds:     out.mom.Stats.Rounds,
-			Messages:   out.mom.Stats.Messages,
-			Drops:      out.mom.Stats.Drops,
-			PhaseCosts: phaseCosts(out.mom.Phases),
-			Alive:      eng.NumAlive(),
-		}
-	} else {
-		res = wrap(eng, out.res)
-	}
+	return stampRun(res, eng, b), nil
+}
+
+// stampRun records the end-of-run membership on a run record: the
+// engine's alive count and the bound plan's fault counters (0 without a
+// plan).
+func stampRun(res *runResult, eng *sim.Engine, b *faults.Bound) *runResult {
+	res.alive = eng.NumAlive()
 	if b != nil {
-		res.FaultEvents = b.Fired()
-		res.FaultCrashes = b.Crashed()
-		res.FaultRevives = b.Revived()
+		res.faultEvents, res.faultCrashes, res.faultRevives = b.Fired(), b.Crashed(), b.Revived()
 	}
-	return res, out.mom, nil
+	return res
 }
 
 // execute runs op's protocol with the session's fault binding for that
@@ -624,16 +609,16 @@ func (nw *Network) execOnce(b *faults.Bound, op Op, run protoFunc) (res *Result,
 // it (both runs are deterministic in Seed, so the measured horizon is
 // exact); every later run of the same kind — every further Rank step of
 // a Quantile or Histogram — reuses the binding.
-func (nw *Network) execute(ctx context.Context, op Op, run protoFunc) (*Result, *core.MomentsResult, error) {
+func (nw *Network) execute(ctx context.Context, op Op, run protoFunc) (*runResult, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if nw.cfg.Faults.Empty() {
 		return nw.execOnce(nil, op, run)
 	}
 	b, err := nw.bind(ctx, op, run)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	return nw.execOnce(b, op, run)
 }
@@ -650,12 +635,12 @@ func (nw *Network) bind(ctx context.Context, op Op, run protoFunc) (*faults.Boun
 	}
 	horizon := 0
 	if nw.cfg.Faults.NeedsHorizon() {
-		healthy, _, err := nw.execOnce(nil, op, run)
+		healthy, err := nw.execOnce(nil, op, run)
 		if err != nil {
 			return nil, fmt.Errorf("drrgossip: horizon measurement run: %w", err)
 		}
 		nw.horizonRuns++
-		horizon = healthy.Rounds
+		horizon = healthy.cost.Rounds
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -763,32 +748,52 @@ func (nw *Network) aggregate(ctx context.Context, q Query) (*Answer, error) {
 	if q.Op == OpMoments && !nw.cfg.Topology.isComplete() {
 		return nil, errMomentsTopology(nw.cfg.Topology.String())
 	}
-	res, mom, err := nw.execute(ctx, q.Op, dispatch(q.Op, q.Values, q.Arg))
+	res, err := nw.execute(ctx, q.Op, dispatch(q.Op, q.Values, q.Arg))
 	if err != nil {
 		if isAbort(err) {
 			return nw.abortedAnswer(q.Op, res, err)
 		}
 		return nil, err
 	}
-	ans := &Answer{
-		Op:           q.Op,
-		Value:        res.Value,
-		Consensus:    res.Consensus,
-		Cost:         Cost{Runs: 1, Rounds: res.Rounds, Messages: res.Messages, Drops: res.Drops},
-		PhaseCosts:   res.PhaseCosts,
-		Trees:        res.Trees,
-		Alive:        res.Alive,
-		FaultEvents:  res.FaultEvents,
-		FaultCrashes: res.FaultCrashes,
-		FaultRevives: res.FaultRevives,
-		Converged:    true,
-	}
-	ans.PerNode, ans.SampleIDs = nw.materializePerNode(res.PerNode)
-	if mom != nil {
-		ans.Mean, ans.Variance, ans.Std = mom.Mean, mom.Variance, mom.Std
+	ans := &Answer{Op: q.Op, Value: res.value, Consensus: res.consensus, Trees: res.trees, Converged: true}
+	ans.bill(res)
+	ans.PerNode, ans.SampleIDs = nw.materializePerNode(res.perNode)
+	if res.mom != nil {
+		ans.Mean, ans.Variance, ans.Std = res.mom.Mean, res.mom.Variance, res.mom.Std
 	}
 	nw.fillQuality(ans, noResidual, nil)
 	return ans, nil
+}
+
+// bill adds one protocol run to the answer: the run's cost and phase
+// bill accumulate, and the membership fields take its end-of-run state.
+// Composite queries bill every sub-run, aborted ones included, so a
+// partial answer's Cost covers the work spent before the abort.
+func (a *Answer) bill(res *runResult) {
+	a.Cost = a.Cost.Add(res.cost)
+	a.PhaseCosts = mergePhaseCosts(a.PhaseCosts, res.phaseCosts)
+	a.Alive = res.alive
+	a.FaultEvents, a.FaultCrashes, a.FaultRevives = res.faultEvents, res.faultCrashes, res.faultRevives
+}
+
+// billedRun executes one sub-run of a composite query and bills it into
+// ans (whenever the run produced a record, aborted or not).
+func (nw *Network) billedRun(ctx context.Context, ans *Answer, op Op, values []float64, arg float64) (*runResult, error) {
+	res, err := nw.execute(ctx, op, dispatch(op, values, arg))
+	if res != nil {
+		ans.bill(res)
+	}
+	return res, err
+}
+
+// quantileStep is billedRun for the quantile drivers, with the step's
+// operation named in its error.
+func (nw *Network) quantileStep(ctx context.Context, ans *Answer, values []float64, op Op, arg float64) (*runResult, error) {
+	res, err := nw.billedRun(ctx, ans, op, values, arg)
+	if err != nil {
+		return nil, fmt.Errorf("quantile %s step: %w", op, err)
+	}
+	return res, nil
 }
 
 // quantile approximates the φ-quantile by bisection over the value
@@ -800,60 +805,49 @@ func (nw *Network) quantile(ctx context.Context, values []float64, phi, tol floa
 		return nil, err
 	}
 	ans := &Answer{Op: OpQuantile, Converged: true}
-	step := func(op Op, arg float64) (*Result, error) {
-		res, _, err := nw.execute(ctx, op, dispatch(op, values, arg))
-		if res != nil {
-			// Bill the run — aborted steps included: the partial answer's
-			// Cost covers the work actually spent before the abort.
-			ans.Cost.Runs++
-			ans.Cost.Rounds += res.Rounds
-			ans.Cost.Messages += res.Messages
-			ans.Cost.Drops += res.Drops
-			ans.PhaseCosts = mergePhaseCosts(ans.PhaseCosts, res.PhaseCosts)
-			ans.Alive = res.Alive
-			ans.FaultEvents, ans.FaultCrashes, ans.FaultRevives = res.FaultEvents, res.FaultCrashes, res.FaultRevives
-		}
-		if err != nil {
-			return nil, fmt.Errorf("quantile %s step: %w", op, err)
-		}
-		return res, nil
-	}
-	minRes, err := step(OpMin, 0)
+	minRes, err := nw.quantileStep(ctx, ans, values, OpMin, 0)
 	if err != nil {
 		return nw.finishAbort(ans, err)
 	}
-	maxRes, err := step(OpMax, 0)
+	maxRes, err := nw.quantileStep(ctx, ans, values, OpMax, 0)
 	if err != nil {
 		return nw.finishAbort(ans, err)
 	}
-	countRes, err := step(OpCount, 0)
+	countRes, err := nw.quantileStep(ctx, ans, values, OpCount, 0)
 	if err != nil {
 		return nw.finishAbort(ans, err)
 	}
-	target := math.Ceil(phi * math.Round(countRes.Value))
-	lo, hi := minRes.Value, maxRes.Value
+	target := math.Ceil(phi * math.Round(countRes.value))
+	return nw.bisectRank(ctx, ans, values, minRes.value, maxRes.value, tol, target)
+}
+
+// bisectRank finishes a quantile answer by value bisection of [lo, hi]:
+// one Rank run per step, keeping hi at the smallest probed value whose
+// rank reaches target, until the bracket is within tol (<= 0 picks
+// (hi-lo)/2^20) or the query hits maxQuantileRuns — which it reports as
+// Converged == false rather than silently returning a looser value. A
+// degenerate bracket (no positive tolerance) answers lo without a run.
+func (nw *Network) bisectRank(ctx context.Context, ans *Answer, values []float64, lo, hi, tol, target float64) (*Answer, error) {
 	if tol <= 0 {
 		tol = (hi - lo) / (1 << 20)
 	}
-	if tol <= 0 { // constant values
+	if tol <= 0 {
 		ans.Value = lo
 		nw.fillQuality(ans, noResidual, nil)
 		return ans, nil
 	}
 	for hi-lo > tol && ans.Cost.Runs < maxQuantileRuns {
 		mid := lo + (hi-lo)/2
-		rankRes, err := step(OpRank, mid)
+		rankRes, err := nw.quantileStep(ctx, ans, values, OpRank, mid)
 		if err != nil {
 			return nw.finishAbort(ans, err)
 		}
-		if math.Round(rankRes.Value) >= target {
+		if math.Round(rankRes.value) >= target {
 			hi = mid
 		} else {
 			lo = mid
 		}
 	}
-	// The run cap can end the bisection before it reaches tol; that is a
-	// looser answer, so say so instead of silently returning it.
 	ans.Converged = hi-lo <= tol
 	ans.Value = hi
 	nw.fillQuality(ans, noResidual, nil)
@@ -891,37 +885,16 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 		return nil, err
 	}
 	ans := &Answer{Op: OpQuantile, Converged: true}
-	bill := func(res *Result) {
-		// Bill the run — aborted steps included: the partial answer's
-		// Cost covers the work actually spent before the abort.
-		ans.Cost.Runs++
-		ans.Cost.Rounds += res.Rounds
-		ans.Cost.Messages += res.Messages
-		ans.Cost.Drops += res.Drops
-		ans.PhaseCosts = mergePhaseCosts(ans.PhaseCosts, res.PhaseCosts)
-		ans.Alive = res.Alive
-		ans.FaultEvents, ans.FaultCrashes, ans.FaultRevives = res.FaultEvents, res.FaultCrashes, res.FaultRevives
-	}
-	step := func(op Op, arg float64) (*Result, error) {
-		res, _, err := nw.execute(ctx, op, dispatch(op, values, arg))
-		if res != nil {
-			bill(res)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("quantile %s step: %w", op, err)
-		}
-		return res, nil
-	}
 	// The target rank needs the alive population size m. With no static
 	// crashes and no dynamic plan every node stays alive, so m == N is
 	// known without spending a run; otherwise a Count run measures it.
 	m := nw.cfg.N
 	if nw.cfg.CrashFraction > 0 || !nw.cfg.Faults.Empty() {
-		countRes, err := step(OpCount, 0)
+		countRes, err := nw.quantileStep(ctx, ans, values, OpCount, 0)
 		if err != nil {
 			return nw.finishAbort(ans, err)
 		}
-		m = int(math.Round(countRes.Value))
+		m = int(math.Round(countRes.value))
 		if m < 1 {
 			m = 1
 		}
@@ -937,30 +910,28 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 		return nw.finishAbort(ans, err)
 	}
 	var sum *hms.Summary
-	sampleRes, _, err := nw.execOnce(nil, OpQuantile, func(eng *sim.Engine, ov overlay.Overlay) (protoOut, error) {
+	sampleRes, err := nw.execOnce(nil, OpQuantile, func(eng *sim.Engine, ov overlay.Overlay) (*runResult, error) {
 		s, serr := hms.Sample(eng, ov, values, hms.Options{Target: t, Count: m})
 		if serr != nil {
-			return protoOut{}, serr
+			return nil, serr
 		}
 		sum = s
 		st := eng.Stats()
-		pre := &Result{
-			Value:    math.NaN(),
-			Rounds:   st.Rounds,
-			Messages: st.Messages,
-			Drops:    st.Drops,
-			PhaseCosts: []PhaseCost{{
+		res := &runResult{
+			value: math.NaN(),
+			cost:  runCost(st),
+			phaseCosts: []PhaseCost{{
 				Phase: hms.PhaseName, Rounds: st.Rounds,
 				Messages: st.Messages, Drops: st.Drops, Calls: st.Calls,
 			}},
 		}
 		if c, ok := s.Candidate(); ok {
-			pre.Value = c
+			res.value = c
 		}
-		return protoOut{pre: pre}, nil
+		return res, nil
 	})
 	if sampleRes != nil {
-		bill(sampleRes)
+		ans.bill(sampleRes)
 	}
 	if err != nil {
 		if isAbort(err) {
@@ -974,11 +945,11 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 		if !ok {
 			break
 		}
-		rankRes, err := step(OpRank, q)
+		rankRes, err := nw.quantileStep(ctx, ans, values, OpRank, q)
 		if err != nil {
 			return nw.finishAbort(ans, err)
 		}
-		w.Observe(q, int(math.Round(rankRes.Value)))
+		w.Observe(q, int(math.Round(rankRes.value)))
 	}
 	if v, exact := w.Exact(); exact && nw.cfg.Faults.Empty() {
 		ans.Value = v
@@ -999,21 +970,21 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 	lo, loOK, hi, hiOK := w.Bracket()
 	clamp := !nw.cfg.Faults.Empty()
 	if !loOK || clamp {
-		minRes, err := step(OpMin, 0)
+		minRes, err := nw.quantileStep(ctx, ans, values, OpMin, 0)
 		if err != nil {
 			return nw.finishAbort(ans, err)
 		}
-		if !loOK || lo < minRes.Value {
-			lo = minRes.Value
+		if !loOK || lo < minRes.value {
+			lo = minRes.value
 		}
 	}
 	if !hiOK || clamp {
-		maxRes, err := step(OpMax, 0)
+		maxRes, err := nw.quantileStep(ctx, ans, values, OpMax, 0)
 		if err != nil {
 			return nw.finishAbort(ans, err)
 		}
-		if !hiOK || hi > maxRes.Value {
-			hi = maxRes.Value
+		if !hiOK || hi > maxRes.value {
+			hi = maxRes.value
 		}
 	}
 	// Under a plan the probed bracket is clamped into the measured
@@ -1023,30 +994,7 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 	if hi < lo {
 		hi = lo
 	}
-	if tol <= 0 {
-		tol = (hi - lo) / (1 << 20)
-	}
-	if tol <= 0 { // degenerate bracket
-		ans.Value = hi
-		nw.fillQuality(ans, noResidual, nil)
-		return ans, nil
-	}
-	for hi-lo > tol && ans.Cost.Runs < maxQuantileRuns {
-		mid := lo + (hi-lo)/2
-		rankRes, err := step(OpRank, mid)
-		if err != nil {
-			return nw.finishAbort(ans, err)
-		}
-		if math.Round(rankRes.Value) >= float64(t) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	ans.Converged = hi-lo <= tol
-	ans.Value = hi
-	nw.fillQuality(ans, noResidual, nil)
-	return ans, nil
+	return nw.bisectRank(ctx, ans, values, lo, hi, tol, float64(t))
 }
 
 // histogram computes the bucket counts with one Rank run per edge. Every
@@ -1068,29 +1016,14 @@ func (nw *Network) histogram(ctx context.Context, values, edges []float64) (*Ans
 	}
 	ans := &Answer{Op: OpHistogram, Value: math.NaN(), Converged: true, Counts: make([]float64, len(edges)+1)}
 	cum := make([]float64, len(edges))
-	var last *Result
-	// step bills one sub-run into the answer — aborted steps included, so
-	// a partial answer's Cost covers the work spent before the abort.
-	step := func(op Op, arg float64) (*Result, error) {
-		res, _, err := nw.execute(ctx, op, dispatch(op, values, arg))
-		if res != nil {
-			ans.Cost.Runs++
-			ans.Cost.Rounds += res.Rounds
-			ans.Cost.Messages += res.Messages
-			ans.Cost.Drops += res.Drops
-			ans.PhaseCosts = mergePhaseCosts(ans.PhaseCosts, res.PhaseCosts)
-			ans.Alive = res.Alive
-			ans.FaultEvents, ans.FaultCrashes, ans.FaultRevives = res.FaultEvents, res.FaultCrashes, res.FaultRevives
-			last = res
-		}
-		return res, err
-	}
+	var last *runResult
 	for i, edge := range edges {
-		res, err := step(OpRank, edge)
+		res, err := nw.billedRun(ctx, ans, OpRank, values, edge)
 		if err != nil {
 			return nw.finishAbort(ans, fmt.Errorf("histogram edge %v: %w", edge, err))
 		}
-		cum[i] = math.Round(res.Value)
+		cum[i] = math.Round(res.value)
+		last = res
 	}
 	ans.Counts[0] = cum[0]
 	for i := 1; i < len(edges); i++ {
@@ -1106,20 +1039,18 @@ func (nw *Network) histogram(ctx context.Context, values, edges []float64) (*Ans
 	// measured with a Count run instead: Count rides the same pipeline
 	// dynamics as Rank (banked tree sizes), so it is consistent with the
 	// cumulative counts in every fault scenario, exactly as Quantile's
-	// bisection target is. The pre-session facade used a fresh *static*
-	// engine here, which was wrong whenever the plan changed membership.
-	lastRank := last
-	total := float64(lastRank.Alive)
+	// bisection target is.
+	total := float64(last.alive)
 	if !nw.cfg.Faults.Empty() {
-		countRes, err := step(OpCount, 0)
+		countRes, err := nw.billedRun(ctx, ans, OpCount, values, 0)
 		if err != nil {
 			return nw.finishAbort(ans, fmt.Errorf("histogram population count: %w", err))
 		}
-		total = math.Round(countRes.Value)
+		total = math.Round(countRes.value)
 		// The answer's membership fields describe the Rank runs the counts
 		// came from, not the trailing population probe.
-		ans.Alive = lastRank.Alive
-		ans.FaultEvents, ans.FaultCrashes, ans.FaultRevives = lastRank.FaultEvents, lastRank.FaultCrashes, lastRank.FaultRevives
+		ans.Alive = last.alive
+		ans.FaultEvents, ans.FaultCrashes, ans.FaultRevives = last.faultEvents, last.faultCrashes, last.faultRevives
 	}
 	ans.Counts[len(edges)] = total - cum[len(edges)-1]
 	nw.fillQuality(ans, noResidual, nil)

@@ -17,19 +17,6 @@ func bothMethods(t *testing.T, f func(t *testing.T, method QuantileMethod)) {
 	}
 }
 
-func runQuantile(t *testing.T, cfg Config, values []float64, phi, tol float64) *Answer {
-	t.Helper()
-	nw, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ans, err := nw.Run(QuantileOf(values, phi, tol))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ans
-}
-
 // φ = 1/n targets rank 1 — the minimum — and φ = 1 targets rank n, the
 // maximum. Both are the extreme targets where HMS's interval pruning is
 // most fragile (the boundary duplicate pile IS the answer).
@@ -38,11 +25,11 @@ func TestQuantileExtremePhi(t *testing.T) {
 	values := uniformValues(n, 81)
 	bothMethods(t, func(t *testing.T, m QuantileMethod) {
 		cfg := Config{N: n, Seed: 82, QuantileMethod: m}
-		lo := runQuantile(t, cfg, values, 1.0/float64(n), 0.01)
+		lo := mustRun(t, cfg, QuantileOf(values, 1.0/float64(n), 0.01))
 		if want := agg.Exact(agg.Min, values, 0); math.Abs(lo.Value-want) > 0.02 {
 			t.Errorf("phi=1/n: got %v, want min %v", lo.Value, want)
 		}
-		hi := runQuantile(t, cfg, values, 1.0, 0.01)
+		hi := mustRun(t, cfg, QuantileOf(values, 1.0, 0.01))
 		if want := agg.Exact(agg.Max, values, 0); math.Abs(hi.Value-want) > 0.02 {
 			t.Errorf("phi=1: got %v, want max %v", hi.Value, want)
 		}
@@ -60,7 +47,7 @@ func TestQuantileDuplicateHeavy(t *testing.T) {
 	bothMethods(t, func(t *testing.T, m QuantileMethod) {
 		cfg := Config{N: n, Seed: 83, QuantileMethod: m}
 		for _, phi := range []float64{0.01, 0.2, 0.5, 0.8, 1.0} {
-			ans := runQuantile(t, cfg, values, phi, 0.01)
+			ans := mustRun(t, cfg, QuantileOf(values, phi, 0.01))
 			want := agg.Quantile(values, phi)
 			if math.Abs(ans.Value-want) > 0.02 {
 				t.Errorf("phi=%v: got %v, want %v", phi, ans.Value, want)
@@ -80,7 +67,7 @@ func TestQuantileConstantValues(t *testing.T) {
 	bothMethods(t, func(t *testing.T, m QuantileMethod) {
 		cfg := Config{N: n, Seed: 84, QuantileMethod: m}
 		for _, phi := range []float64{0.01, 0.5, 1.0} {
-			ans := runQuantile(t, cfg, values, phi, 0)
+			ans := mustRun(t, cfg, QuantileOf(values, phi, 0))
 			if ans.Value != 42.5 {
 				t.Errorf("phi=%v: got %v, want 42.5", phi, ans.Value)
 			}
@@ -97,7 +84,7 @@ func TestQuantileDefaultResolution(t *testing.T) {
 	want := agg.Quantile(values, 0.5)
 	bothMethods(t, func(t *testing.T, m QuantileMethod) {
 		cfg := Config{N: n, Seed: 86, QuantileMethod: m}
-		ans := runQuantile(t, cfg, values, 0.5, 0)
+		ans := mustRun(t, cfg, QuantileOf(values, 0.5, 0))
 		if math.Abs(ans.Value-want) > 1000.0/(1<<20)+1e-9 {
 			t.Errorf("tol=0: got %v, want %v within default resolution", ans.Value, want)
 		}
@@ -116,11 +103,11 @@ func TestQuantileSmallestPopulation(t *testing.T) {
 	values := []float64{7, 3}
 	bothMethods(t, func(t *testing.T, m QuantileMethod) {
 		cfg := Config{N: 2, Seed: 87, QuantileMethod: m}
-		lo := runQuantile(t, cfg, values, 0.5, 0.01)
+		lo := mustRun(t, cfg, QuantileOf(values, 0.5, 0.01))
 		if math.Abs(lo.Value-3) > 0.02 {
 			t.Errorf("phi=0.5 over {3,7}: got %v, want 3", lo.Value)
 		}
-		hi := runQuantile(t, cfg, values, 1.0, 0.01)
+		hi := mustRun(t, cfg, QuantileOf(values, 1.0, 0.01))
 		if math.Abs(hi.Value-7) > 0.02 {
 			t.Errorf("phi=1 over {3,7}: got %v, want 7", hi.Value)
 		}

@@ -2,9 +2,7 @@
 // vocabulary of the session API (see Network in network.go). A Query is a
 // plain value describing *what* to compute; the Network decides *how*
 // (topology, faults, horizon) and answers every query with the same
-// Answer shape, replacing the three divergent result structs of the
-// pre-session facade (Result, QuantileResult, HistogramResult — all of
-// which remain as thin legacy views).
+// Answer shape.
 
 package drrgossip
 
@@ -353,33 +351,12 @@ type Quality struct {
 	Retries int
 }
 
-// result renders the answer as a legacy Result (the pre-session shape
-// the one-shot helpers return).
-func (a *Answer) result() *Result {
-	return &Result{
-		Value:        a.Value,
-		PerNode:      a.PerNode,
-		SampleIDs:    a.SampleIDs,
-		Consensus:    a.Consensus,
-		Rounds:       a.Cost.Rounds,
-		Messages:     a.Cost.Messages,
-		Drops:        a.Cost.Drops,
-		PhaseCosts:   a.PhaseCosts,
-		Trees:        a.Trees,
-		Alive:        a.Alive,
-		FaultEvents:  a.FaultEvents,
-		FaultCrashes: a.FaultCrashes,
-		FaultRevives: a.FaultRevives,
-	}
-}
-
 // ExactOf returns the reference value a Query should converge to: the
 // aggregate computed directly over the values that survive cfg's static
 // crash model. It supports every scalar operation (OpMax..OpRank and
 // OpQuantile, for which it returns the exact φ-quantile of the surviving
 // values); OpMoments and OpHistogram have no single reference value and
-// return an error, as do unknown operations. Unlike the deprecated
-// Exact, bad input yields an error instead of a panic.
+// return an error, as do unknown operations and mismatched input.
 func ExactOf(cfg Config, q Query) (float64, error) {
 	if cfg.N < 2 {
 		return 0, fmt.Errorf("%w: N must be >= 2, got %d", ErrBadConfig, cfg.N)

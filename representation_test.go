@@ -2,7 +2,6 @@ package drrgossip
 
 import (
 	"fmt"
-	"math"
 	"testing"
 )
 
@@ -13,43 +12,33 @@ func TestFacadeBitIdenticalAcrossRepresentations(t *testing.T) {
 	for _, topo := range []Topology{Chord, SmallWorld, Torus} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/w%d", topo, workers), func(t *testing.T) {
-				cfg := Config{N: 512, Seed: 41, Topology: topo, Workers: workers}
+				cfg := Config{N: 512, Seed: 41, Topology: topo, Workers: workers, SampleNodes: AllNodes}
 				legacy := cfg
 				legacy.LegacySliceAdjacency = true
 				values := uniformValues(cfg.N, 42)
+				queries := []Query{AverageOf(values), QuantileOf(values, 0.5, 1)}
 
-				res, err := Average(cfg, values)
+				nw, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				lres, err := Average(legacy, values)
+				answers, _, err := nw.RunAll(queries)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.Value != lres.Value || res.Rounds != lres.Rounds ||
-					res.Messages != lres.Messages || res.Drops != lres.Drops ||
-					res.Trees != lres.Trees || res.Alive != lres.Alive ||
-					res.Consensus != lres.Consensus {
-					t.Fatalf("Average diverges across representations:\n%+v\n%+v", res, lres)
-				}
-				for i := range res.PerNode {
-					a, b := res.PerNode[i], lres.PerNode[i]
-					if a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
-						t.Fatalf("PerNode[%d] differs: %v vs %v", i, a, b)
-					}
-				}
-
-				q, err := Quantile(cfg, values, 0.5, 1)
+				lnw, err := New(legacy)
 				if err != nil {
 					t.Fatal(err)
 				}
-				lq, err := Quantile(legacy, values, 0.5, 1)
+				lanswers, _, err := lnw.RunAll(queries)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if *q != *lq {
-					t.Fatalf("Quantile diverges across representations:\n%+v\n%+v", q, lq)
+				if len(answers[0].PerNode) != cfg.N {
+					t.Fatalf("Average PerNode has %d entries, want %d", len(answers[0].PerNode), cfg.N)
 				}
+				answersEqual(t, "Average across representations", answers[0], lanswers[0])
+				answersEqual(t, "Quantile across representations", answers[1], lanswers[1])
 			})
 		}
 	}

@@ -142,22 +142,11 @@ func (nw *Network) fillQuality(ans *Answer, residual float64, cause error) {
 	}
 }
 
-// partialResult salvages what an aborted synchronous run can still
-// report: the engine's accounting and membership at the abort round. No
-// consensus value exists mid-protocol, so Value is NaN.
-func (nw *Network) partialResult(eng *sim.Engine, b *faults.Bound) *Result {
-	st := eng.Stats()
-	res := &Result{
-		Value:    math.NaN(),
-		Rounds:   st.Rounds,
-		Messages: st.Messages,
-		Drops:    st.Drops,
-		Alive:    eng.NumAlive(),
-	}
-	if b != nil {
-		res.FaultEvents, res.FaultCrashes, res.FaultRevives = b.Fired(), b.Crashed(), b.Revived()
-	}
-	return res
+// partialRun salvages what an aborted synchronous run can still report:
+// the engine's accounting and membership at the abort round. No
+// consensus value exists mid-protocol, so the value is NaN.
+func partialRun(eng *sim.Engine, b *faults.Bound) *runResult {
+	return stampRun(&runResult{value: math.NaN(), cost: runCost(eng.Stats())}, eng, b)
 }
 
 // abortedAnswer renders an aborted single-run query as a degraded
@@ -165,13 +154,11 @@ func (nw *Network) partialResult(eng *sim.Engine, b *faults.Bound) *Result {
 // and Quality carries the abort reason. res may be nil (the abort hit
 // before any protocol run — a pre-cancelled context or an aborted
 // horizon pre-run), giving a zero-cost partial answer.
-func (nw *Network) abortedAnswer(op Op, res *Result, cause error) (*Answer, error) {
+func (nw *Network) abortedAnswer(op Op, res *runResult, cause error) (*Answer, error) {
 	ans := &Answer{Op: op, Value: math.NaN()}
 	if res != nil {
-		ans.Value = res.Value
-		ans.Cost = Cost{Runs: 1, Rounds: res.Rounds, Messages: res.Messages, Drops: res.Drops}
-		ans.Alive = res.Alive
-		ans.FaultEvents, ans.FaultCrashes, ans.FaultRevives = res.FaultEvents, res.FaultCrashes, res.FaultRevives
+		ans.Value = res.value
+		ans.bill(res)
 	}
 	nw.fillQuality(ans, noResidual, cause)
 	if terminalAbort(cause) {

@@ -27,11 +27,11 @@ func TestWorkersBitIdenticalAnswers(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d: %v", topo, planName, workers, err)
 				}
-				ave, err := nw.Average(values)
+				ave, err := nw.Run(AverageOf(values))
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d ave: %v", topo, planName, workers, err)
 				}
-				sum, err := nw.Sum(values)
+				sum, err := nw.Run(SumOf(values))
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d sum: %v", topo, planName, workers, err)
 				}
@@ -60,7 +60,7 @@ func TestSampleNodesEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := nw.Average(values)
+		a, err := nw.Run(AverageOf(values))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,41 +131,17 @@ func TestSampleNodesEdgeCases(t *testing.T) {
 		t.Fatalf("Workers=-1 accepted: %v", err)
 	}
 
-	// The legacy one-shot helpers keep their full-PerNode contract…
-	legacy, err := Average(Config{N: n, Seed: 107}, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacy.PerNode) != n || legacy.SampleIDs != nil {
-		t.Fatalf("legacy helper PerNode %d (SampleIDs %v), want full vector", len(legacy.PerNode), legacy.SampleIDs)
-	}
-	// …and an explicit SampleNodes on a one-shot call carries the sample
-	// ids through to the legacy Result, so callers can map values to
-	// nodes.
-	legacySampled, err := Average(Config{N: n, Seed: 107, SampleNodes: k}, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacySampled.PerNode) != k || len(legacySampled.SampleIDs) != k {
-		t.Fatalf("legacy sampled helper: PerNode %d, SampleIDs %d", len(legacySampled.PerNode), len(legacySampled.SampleIDs))
-	}
-	for i := range legacySampled.SampleIDs {
-		if legacySampled.SampleIDs[i] != sampled.SampleIDs[i] {
-			t.Fatalf("legacy sample ids drifted at %d", i)
-		}
-	}
-
 	// Answers own their SampleIDs: mutating one answer's slice must not
 	// skew another answer from the same session.
 	nw, err := New(Config{N: n, Seed: 107, SampleNodes: k})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, err := nw.Average(values)
+	a1, err := nw.Run(AverageOf(values))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := nw.Sum(values)
+	a2, err := nw.Run(SumOf(values))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +149,7 @@ func TestSampleNodesEdgeCases(t *testing.T) {
 	if a2.SampleIDs[0] == -999 {
 		t.Fatal("answers share one SampleIDs backing array")
 	}
-	a3, err := nw.Count(values)
+	a3, err := nw.Run(CountOf(values))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +170,7 @@ func TestMomentsSparseTopologyError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = nw.Moments(values)
+	_, err = nw.Run(MomentsOf(values))
 	if !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("session moments on chord: %v, want ErrBadConfig", err)
 	}
@@ -202,10 +178,6 @@ func TestMomentsSparseTopologyError(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error not descriptive (missing %q): %v", want, err)
 		}
-	}
-
-	if _, err := Moments(cfg, values); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("legacy moments on chord: %v, want ErrBadConfig", err)
 	}
 
 	// The concurrent batch path binds fault plans through dispatch
