@@ -24,6 +24,7 @@ import (
 	"drrgossip/internal/kempe"
 	"drrgossip/internal/localdrr"
 	"drrgossip/internal/oblivious"
+	"drrgossip/internal/overlay"
 	"drrgossip/internal/pietro"
 	"drrgossip/internal/sim"
 	"drrgossip/internal/telemetry"
@@ -46,7 +47,7 @@ func BenchmarkT1_DRRGossipAve(b *testing.B) {
 	var r *core.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = core.Ave(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), values, core.Options{})
+		r, err = core.Ave(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), nil, values)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -198,7 +199,7 @@ func BenchmarkF8_EndToEndMax(b *testing.B) {
 	var r *core.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = core.Max(sim.NewEngine(benchN, sim.Options{Seed: uint64(i), Loss: 0.05}), values, core.Options{})
+		r, err = core.Max(sim.NewEngine(benchN, sim.Options{Seed: uint64(i), Loss: 0.05}), nil, values)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -244,7 +245,7 @@ func BenchmarkF11_DRRGossipOnChord(b *testing.B) {
 	var r *core.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = core.MaxOnChord(sim.NewEngine(n, sim.Options{Seed: uint64(i)}), ring, values, core.SparseOptions{})
+		r, err = core.Max(sim.NewEngine(n, sim.Options{Seed: uint64(i)}), overlay.NewChord(ring), values)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -336,7 +337,7 @@ func BenchmarkA2_LossSweep(b *testing.B) {
 			var r *core.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				r, err = core.Max(sim.NewEngine(benchN, sim.Options{Seed: uint64(i), Loss: tc.loss}), values, core.Options{})
+				r, err = core.Max(sim.NewEngine(benchN, sim.Options{Seed: uint64(i), Loss: tc.loss}), nil, values)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -614,7 +615,7 @@ func BenchmarkExtMoments(b *testing.B) {
 	var r *core.MomentsResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = core.Moments(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), values, core.Options{})
+		r, err = core.Moments(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), values)
 		if err != nil {
 			b.Fatal(err)
 		}

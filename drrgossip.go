@@ -377,10 +377,10 @@ func (c Config) validate() error {
 	if c.N < 2 {
 		return fmt.Errorf("%w: N must be >= 2, got %d", ErrBadConfig, c.N)
 	}
-	if c.Loss < 0 || c.Loss >= 1 {
+	if !(c.Loss >= 0 && c.Loss < 1) { // NaN-safe
 		return fmt.Errorf("%w: Loss must be in [0,1)", ErrBadConfig)
 	}
-	if c.CrashFraction < 0 || c.CrashFraction >= 1 {
+	if !(c.CrashFraction >= 0 && c.CrashFraction < 1) {
 		return fmt.Errorf("%w: CrashFraction must be in [0,1)", ErrBadConfig)
 	}
 	if err := c.Faults.Validate(c.N); err != nil {
@@ -418,7 +418,7 @@ func (c Config) validate() error {
 		if c.AsyncPeer == "gge" && c.Topology.isComplete() {
 			return fmt.Errorf("%w: AsyncPeer gge needs a sparse Topology (its eavesdrop cache is O(edges))", ErrBadConfig)
 		}
-		if c.AsyncEps < 0 {
+		if !(c.AsyncEps >= 0) {
 			return fmt.Errorf("%w: AsyncEps must be >= 0, got %v", ErrBadConfig, c.AsyncEps)
 		}
 	default:

@@ -160,6 +160,12 @@ func TestConfigValidation(t *testing.T) {
 		{N: 2, Seed: 1, Topology: Ring},               // ring needs n >= 3
 		{N: 4, Seed: 1, Topology: ScaleFree},          // n <= m+1
 		{N: 16, Seed: 1, Topology: Torus, Loss: -0.1}, // bad loss still rejected
+		{N: 8, Seed: 1, Loss: math.NaN()},             // NaN fails every range check
+		{N: 8, Seed: 1, CrashFraction: math.NaN()},
+		{N: 8, Seed: 1, Mode: Async, AsyncEps: math.NaN()},
+		{N: 8, Seed: 1, Faults: mustPlan(t, "churn:NaN")},
+		{N: 8, Seed: 1, Faults: mustPlan(t, "loss:NaN@0.1..0.5")},
+		{N: 8, Seed: 1, Faults: mustPlan(t, "flaky:0.1:NaN@0.1..0.9")},
 		// Parameters near MaxInt must not overflow the registry's
 		// size checks into a generator panic.
 		{N: 64, Seed: 1, Topology: SmallWorldK(math.MaxInt)},

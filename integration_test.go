@@ -9,6 +9,7 @@ import (
 	core "drrgossip/internal/drrgossip"
 	"drrgossip/internal/kashyap"
 	"drrgossip/internal/kempe"
+	"drrgossip/internal/overlay"
 	"drrgossip/internal/pietro"
 	"drrgossip/internal/sim"
 )
@@ -22,7 +23,7 @@ func TestAllAlgorithmsAgreeOnMax(t *testing.T) {
 	values := agg.GenUniform(n, -1000, 1000, 61)
 	want := agg.Exact(agg.Max, values, 0)
 
-	dres, err := core.Max(sim.NewEngine(n, sim.Options{Seed: 62}), values, core.Options{})
+	dres, err := core.Max(sim.NewEngine(n, sim.Options{Seed: 62}), nil, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestAllAlgorithmsAgreeOnAverage(t *testing.T) {
 	want := agg.Exact(agg.Average, values, 0)
 	tol := 1e-5
 
-	dres, err := core.Ave(sim.NewEngine(n, sim.Options{Seed: 67}), values, core.Options{})
+	dres, err := core.Ave(sim.NewEngine(n, sim.Options{Seed: 67}), nil, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestMessageOrderingAtScale(t *testing.T) {
 	n := 16384
 	values := agg.GenUniform(n, 0, 1, 70)
 
-	dres, err := core.Ave(sim.NewEngine(n, sim.Options{Seed: 71}), values, core.Options{})
+	dres, err := core.Ave(sim.NewEngine(n, sim.Options{Seed: 71}), nil, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestChordDRRBeatsChordUniformOnMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	values := agg.GenUniform(n, 0, 100, 77)
-	dres, err := core.MaxOnChord(sim.NewEngine(n, sim.Options{Seed: 78}), ring, values, core.SparseOptions{})
+	dres, err := core.Max(sim.NewEngine(n, sim.Options{Seed: 78}), overlay.NewChord(ring), values)
 	if err != nil {
 		t.Fatal(err)
 	}

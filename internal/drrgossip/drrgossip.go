@@ -3,9 +3,14 @@
 // DRR-gossip-ave (Algorithm 8) and the derived aggregates (Min, Sum,
 // Count, Rank) obtained by the paper's "suitable modifications".
 //
-// Complexity (Theorems 2-7): O(log n) rounds and O(n log log n) messages,
-// the message bill dominated by Phase I; Phases II and III cost O(n)
-// messages each.
+// Every pipeline runs on the complete graph (a nil overlay) or on any
+// overlay.Overlay. The three phases are the same on both; only the
+// transport differs (see transport): DRR or Local-DRR builds the forest,
+// and root gossip goes over random calls or routed overlay paths.
+//
+// Complexity on the complete graph (Theorems 2-7): O(log n) rounds and
+// O(n log log n) messages, the message bill dominated by Phase I; Phases
+// II and III cost O(n) messages each. On overlays see sparse.go.
 //
 // Sum and Count use the distinguished-root form of push-sum: Gossip-max
 // on (tree size, root id) keys elects the largest-tree root z (as in
@@ -24,16 +29,9 @@ import (
 	"drrgossip/internal/drr"
 	"drrgossip/internal/forest"
 	"drrgossip/internal/gossip"
+	"drrgossip/internal/overlay"
 	"drrgossip/internal/sim"
 )
-
-// Options tune the composite pipelines; zero values reproduce the paper.
-type Options struct {
-	DRR          drr.Options
-	Convergecast convergecast.Options
-	Gossip       gossip.Options
-	AveRounds    int // Gossip-ave iterations (0 = default)
-}
 
 // Phase labels the pipelines record on the engine (sim.SetPhase) as they
 // progress, so per-round observers can attribute time to the paper's
@@ -53,13 +51,14 @@ type PhaseStats struct {
 	Broadcast sim.Counters // final dissemination down the trees
 }
 
-// Total sums the phase counters.
+// Total sums the phase counters, all five fields.
 func (p PhaseStats) Total() sim.Counters {
 	t := p.DRR
 	for _, c := range []sim.Counters{p.Aggregate, p.Gossip, p.Broadcast} {
 		t.Rounds += c.Rounds
 		t.Messages += c.Messages
 		t.Drops += c.Drops
+		t.Blocked += c.Blocked
 		t.Calls += c.Calls
 	}
 	return t
@@ -93,20 +92,142 @@ func decodeKeyRoot(key float64) int {
 	return int(int64(key) & (1<<24 - 1))
 }
 
-// Max runs DRR-gossip-max (Algorithm 7).
-func Max(eng *sim.Engine, values []float64, opts Options) (*Result, error) {
-	return maxPipeline(eng, values, opts, false)
+// Max runs DRR-gossip-max (Algorithm 7) on ov (nil = the complete graph).
+func Max(eng *sim.Engine, ov overlay.Overlay, values []float64) (*Result, error) {
+	return maxPipeline(eng, ov, values, false)
 }
 
 // Min runs the Min variant of Algorithm 7 (Gossip-max on negated values).
-func Min(eng *sim.Engine, values []float64, opts Options) (*Result, error) {
-	return maxPipeline(eng, values, opts, true)
+func Min(eng *sim.Engine, ov overlay.Overlay, values []float64) (*Result, error) {
+	return maxPipeline(eng, ov, values, true)
 }
 
-func maxPipeline(eng *sim.Engine, values []float64, opts Options, negate bool) (*Result, error) {
-	if len(values) != eng.N() {
-		return nil, fmt.Errorf("drrgossip: %d values for %d nodes", len(values), eng.N())
+// transport is the part of a pipeline that depends on the topology:
+// dense on the complete graph, routed on an overlay (sparse.go).
+type transport interface {
+	// forest runs Phase I.
+	forest(eng *sim.Engine) (*forest.Forest, error)
+	// aggregate runs Phase II: the pipeline's convergecast and the
+	// root-address broadcast, in the transport's order. The order is
+	// observable: per-message loss is hashed on the send sequence.
+	aggregate(eng *sim.Engine, f *forest.Forest, converge func() error) error
+	// gossipMax, gossipAve and spread run Phase III among the roots and
+	// return every root's estimate.
+	gossipMax(eng *sim.Engine, f *forest.Forest, init map[int]float64) (map[int]float64, error)
+	gossipAve(eng *sim.Engine, f *forest.Forest, init map[int]convergecast.SumCount, reliable bool) (map[int]float64, error)
+	spread(eng *sim.Engine, f *forest.Forest, z int, value float64) (map[int]float64, error)
+}
+
+// dense is the complete-graph transport: DRR, then uniform random calls
+// relayed through the trees.
+type dense struct{ rootTo []int }
+
+func (d *dense) forest(eng *sim.Engine) (*forest.Forest, error) {
+	res, err := drr.Run(eng, drr.Options{})
+	if err != nil {
+		return nil, err
 	}
+	return res.Forest, nil
+}
+
+func (d *dense) aggregate(eng *sim.Engine, f *forest.Forest, converge func() error) error {
+	if err := converge(); err != nil {
+		return err
+	}
+	var err error
+	d.rootTo, _, err = convergecast.BroadcastRootAddr(eng, f, convergecast.Options{})
+	return err
+}
+
+func (d *dense) gossipMax(eng *sim.Engine, f *forest.Forest, init map[int]float64) (map[int]float64, error) {
+	res, err := gossip.Max(eng, f, d.rootTo, init, gossip.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return res.Estimates, nil
+}
+
+func (d *dense) gossipAve(eng *sim.Engine, f *forest.Forest, init map[int]convergecast.SumCount, reliable bool) (map[int]float64, error) {
+	res, err := gossip.Ave(eng, f, d.rootTo, init, gossip.AveOptions{TrackRoot: -1, ReliableShares: reliable})
+	if err != nil {
+		return nil, err
+	}
+	return res.Estimates, nil
+}
+
+func (d *dense) spread(eng *sim.Engine, f *forest.Forest, z int, value float64) (map[int]float64, error) {
+	res, err := gossip.Spread(eng, f, d.rootTo, z, value, gossip.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return res.Estimates, nil
+}
+
+// meter labels a run's phases on the engine in paper order and bills
+// each from telescoping engine-counter snapshots, so the phase deltas
+// sum to the run's total exactly, field by field.
+type meter struct {
+	eng   *sim.Engine
+	marks []sim.Counters
+}
+
+var phaseOrder = [...]string{PhaseDRR, PhaseAggregate, PhaseGossip, PhaseBroadcast}
+
+func startMeter(eng *sim.Engine) *meter {
+	m := &meter{eng: eng}
+	m.next()
+	return m
+}
+
+// next closes the running phase and enters the following one.
+func (m *meter) next() {
+	m.marks = append(m.marks, m.eng.Stats())
+	if k := len(m.marks) - 1; k < len(phaseOrder) {
+		m.eng.SetPhase(phaseOrder[k])
+	}
+}
+
+// phases closes the last phase and returns the run's bill.
+func (m *meter) phases() PhaseStats {
+	m.next()
+	d := func(k int) sim.Counters { return m.marks[k+1].Sub(m.marks[k]) }
+	return PhaseStats{DRR: d(0), Aggregate: d(1), Gossip: d(2), Broadcast: d(3)}
+}
+
+// begin validates the input, picks the transport for ov and runs Phases
+// I and II, with converge as the pipeline's convergecast. It returns the
+// meter in Phase III.
+func begin(eng *sim.Engine, ov overlay.Overlay, values []float64, converge func(f *forest.Forest) error) (transport, *forest.Forest, *meter, error) {
+	if len(values) != eng.N() {
+		return nil, nil, nil, fmt.Errorf("drrgossip: %d values for %d nodes", len(values), eng.N())
+	}
+	var t transport = &dense{}
+	if ov != nil {
+		if eng.NumAlive() != eng.N() {
+			return nil, nil, nil, ErrCrashedOverlay
+		}
+		if ov.Graph().N() != eng.N() {
+			return nil, nil, nil, fmt.Errorf("drrgossip: overlay %s has %d nodes, engine %d", ov.Name(), ov.Graph().N(), eng.N())
+		}
+		t = routed{ov}
+	}
+	m := startMeter(eng)
+	f, err := t.forest(eng)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if f.NumTrees() == 0 {
+		return nil, nil, nil, ErrNoNodes
+	}
+	m.next()
+	if err := t.aggregate(eng, f, func() error { return converge(f) }); err != nil {
+		return nil, nil, nil, err
+	}
+	m.next()
+	return t, f, m, nil
+}
+
+func maxPipeline(eng *sim.Engine, ov overlay.Overlay, values []float64, negate bool) (*Result, error) {
 	work := values
 	if negate {
 		work = make([]float64, len(values))
@@ -114,56 +235,35 @@ func maxPipeline(eng *sim.Engine, values []float64, opts Options, negate bool) (
 			work[i] = -v
 		}
 	}
-	var ph PhaseStats
-
-	// Phase I: DRR.
-	eng.SetPhase(PhaseDRR)
-	dres, err := drr.Run(eng, opts.DRR)
+	var covmax map[int]float64
+	t, f, m, err := begin(eng, ov, work, func(f *forest.Forest) (err error) {
+		covmax, _, err = convergecast.Max(eng, f, work, convergecast.Options{})
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	f := dres.Forest
-	ph.DRR = dres.Stats
-	if f.NumTrees() == 0 {
-		return nil, ErrNoNodes
-	}
-
-	// Phase II: convergecast-max + root-address broadcast.
-	eng.SetPhase(PhaseAggregate)
-	covmax, c1, err := convergecast.Max(eng, f, work, opts.Convergecast)
-	if err != nil {
-		return nil, err
-	}
-	rootTo, c2, err := convergecast.BroadcastRootAddr(eng, f, opts.Convergecast)
-	if err != nil {
-		return nil, err
-	}
-	ph.Aggregate = addCounters(c1, c2)
 
 	// Phase III: gossip-max among roots.
-	eng.SetPhase(PhaseGossip)
-	gres, err := gossip.Max(eng, f, rootTo, covmax, opts.Gossip)
+	est, err := t.gossipMax(eng, f, covmax)
 	if err != nil {
 		return nil, err
 	}
-	ph.Gossip = gres.Stats
 
 	// Final dissemination down the trees.
-	eng.SetPhase(PhaseBroadcast)
-	perNode, c3, err := convergecast.BroadcastValue(eng, f, gres.Estimates, opts.Convergecast)
+	m.next()
+	perNode, _, err := convergecast.BroadcastValue(eng, f, est, convergecast.Options{})
 	if err != nil {
 		return nil, err
 	}
-	ph.Broadcast = c3
-
-	value := bestEffortValue(eng, f, perNode[f.LargestRoot()], gres.Estimates)
+	value := bestEffortValue(eng, f, perNode[f.LargestRoot()], est)
 	if negate {
 		for i := range perNode {
 			perNode[i] = -perNode[i]
 		}
 		value = -value
 	}
-	return finish(eng, f, value, perNode, ph), nil
+	return finish(eng, f, value, perNode, m.phases()), nil
 }
 
 // bestEffortValue picks the run's reported value. In a healthy run the
@@ -188,25 +288,25 @@ func bestEffortValue(eng *sim.Engine, f *forest.Forest, preferred float64, est m
 	return preferred
 }
 
-// Ave runs DRR-gossip-ave (Algorithm 8).
-func Ave(eng *sim.Engine, values []float64, opts Options) (*Result, error) {
-	return avePipeline(eng, values, opts, pushAve)
+// Ave runs DRR-gossip-ave (Algorithm 8) on ov (nil = the complete graph).
+func Ave(eng *sim.Engine, ov overlay.Overlay, values []float64) (*Result, error) {
+	return avePipeline(eng, ov, values, pushAve)
 }
 
 // Sum computes the global sum with the distinguished-root push-sum.
-func Sum(eng *sim.Engine, values []float64, opts Options) (*Result, error) {
-	return avePipeline(eng, values, opts, pushSum)
+func Sum(eng *sim.Engine, ov overlay.Overlay, values []float64) (*Result, error) {
+	return avePipeline(eng, ov, values, pushSum)
 }
 
 // Count computes the number of alive nodes (the Count aggregate).
-func Count(eng *sim.Engine, values []float64, opts Options) (*Result, error) {
-	return avePipeline(eng, values, opts, pushCount)
+func Count(eng *sim.Engine, ov overlay.Overlay, values []float64) (*Result, error) {
+	return avePipeline(eng, ov, values, pushCount)
 }
 
 // Rank computes Rank(q) = |{i alive : v_i <= q}| by summing indicator
 // values (the paper's Rank reduction).
-func Rank(eng *sim.Engine, values []float64, q float64, opts Options) (*Result, error) {
-	return Sum(eng, agg.Indicator(values, q), opts)
+func Rank(eng *sim.Engine, ov overlay.Overlay, values []float64, q float64) (*Result, error) {
+	return Sum(eng, ov, agg.Indicator(values, q))
 }
 
 // pushMode selects how the Gossip-ave initial vectors are built from the
@@ -271,44 +371,23 @@ func buildInit(mode pushMode, covsum map[int]convergecast.SumCount, z int) map[i
 	return init
 }
 
-func avePipeline(eng *sim.Engine, values []float64, opts Options, mode pushMode) (*Result, error) {
-	if len(values) != eng.N() {
-		return nil, fmt.Errorf("drrgossip: %d values for %d nodes", len(values), eng.N())
-	}
-	var ph PhaseStats
-
-	// Phase I: DRR.
-	eng.SetPhase(PhaseDRR)
-	dres, err := drr.Run(eng, opts.DRR)
+func avePipeline(eng *sim.Engine, ov overlay.Overlay, values []float64, mode pushMode) (*Result, error) {
+	var covsum map[int]convergecast.SumCount
+	t, f, m, err := begin(eng, ov, values, func(f *forest.Forest) (err error) {
+		covsum, _, err = convergecast.Sum(eng, f, values, convergecast.Options{})
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	f := dres.Forest
-	ph.DRR = dres.Stats
-	if f.NumTrees() == 0 {
-		return nil, ErrNoNodes
-	}
-
-	// Phase II: convergecast-sum + root-address broadcast.
-	eng.SetPhase(PhaseAggregate)
-	covsum, c1, err := convergecast.Sum(eng, f, values, opts.Convergecast)
-	if err != nil {
-		return nil, err
-	}
-	rootTo, c2, err := convergecast.BroadcastRootAddr(eng, f, opts.Convergecast)
-	if err != nil {
-		return nil, err
-	}
-	ph.Aggregate = addCounters(c1, c2)
 
 	// Phase III(a): Gossip-max on (tree size, root id) keys elects the
 	// largest-tree root z; every root learns the winning key, hence z.
-	eng.SetPhase(PhaseGossip)
 	keys := make(map[int]float64, f.NumTrees())
 	for r, sc := range covsum {
 		keys[r] = largestKey(int(sc.Count), r)
 	}
-	kres, err := gossip.Max(eng, f, rootTo, keys, opts.Gossip)
+	kest, err := t.gossipMax(eng, f, keys)
 	if err != nil {
 		return nil, err
 	}
@@ -317,7 +396,7 @@ func avePipeline(eng *sim.Engine, values []float64, opts Options, mode pushMode)
 	// its own key, so the maximum estimate is exactly the true winning
 	// key.
 	maxKey := math.Inf(-1)
-	for _, v := range kres.Estimates {
+	for _, v := range kest {
 		if v > maxKey {
 			maxKey = v
 		}
@@ -331,12 +410,7 @@ func avePipeline(eng *sim.Engine, values []float64, opts Options, mode pushMode)
 	// Sum and Count run with reliable (acknowledged) shares: their
 	// distinguished-root denominator is a single unit of mass whose loss
 	// cannot be averaged away, unlike the Ave ratio where losses cancel.
-	ares, err := gossip.Ave(eng, f, rootTo, buildInit(mode, covsum, z),
-		gossip.AveOptions{
-			Rounds:         opts.AveRounds,
-			TrackRoot:      -1,
-			ReliableShares: mode != pushAve,
-		})
+	est, err := t.gossipAve(eng, f, buildInit(mode, covsum, z), mode != pushAve)
 	if err != nil {
 		return nil, err
 	}
@@ -344,21 +418,19 @@ func avePipeline(eng *sim.Engine, values []float64, opts Options, mode pushMode)
 	// Phase III(c): Data-spread of z's estimate to all roots. Under
 	// mid-run crashes z's estimate can be NaN (or z freshly dead); the
 	// spread then carries the best surviving estimate instead.
-	value := bestEffortValue(eng, f, ares.Estimates[z], ares.Estimates)
-	sres, err := gossip.Spread(eng, f, rootTo, z, value, opts.Gossip)
+	value := bestEffortValue(eng, f, est[z], est)
+	sest, err := t.spread(eng, f, z, value)
 	if err != nil {
 		return nil, err
 	}
-	ph.Gossip = addCounters(addCounters(kres.Stats, ares.Stats), sres.Stats)
 
 	// Final dissemination down the trees.
-	eng.SetPhase(PhaseBroadcast)
-	perNode, c3, err := convergecast.BroadcastValue(eng, f, sres.Estimates, opts.Convergecast)
+	m.next()
+	perNode, _, err := convergecast.BroadcastValue(eng, f, sest, convergecast.Options{})
 	if err != nil {
 		return nil, err
 	}
-	ph.Broadcast = c3
-	return finish(eng, f, value, perNode, ph), nil
+	return finish(eng, f, value, perNode, m.phases()), nil
 }
 
 func finish(eng *sim.Engine, f *forest.Forest, value float64, perNode []float64, ph PhaseStats) *Result {
@@ -383,14 +455,5 @@ func finish(eng *sim.Engine, f *forest.Forest, value float64, perNode []float64,
 		Forest:    f,
 		Phases:    ph,
 		Stats:     ph.Total(),
-	}
-}
-
-func addCounters(a, b sim.Counters) sim.Counters {
-	return sim.Counters{
-		Rounds:   a.Rounds + b.Rounds,
-		Messages: a.Messages + b.Messages,
-		Drops:    a.Drops + b.Drops,
-		Calls:    a.Calls + b.Calls,
 	}
 }

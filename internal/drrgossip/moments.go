@@ -5,11 +5,10 @@
 package drrgossip
 
 import (
-	"fmt"
 	"math"
 
 	"drrgossip/internal/convergecast"
-	"drrgossip/internal/drr"
+	"drrgossip/internal/forest"
 	"drrgossip/internal/gossip"
 	"drrgossip/internal/sim"
 )
@@ -32,57 +31,39 @@ type MomentsResult struct {
 	Stats  sim.Counters
 }
 
-// Moments computes the global mean and variance with a single DRR-gossip
-// pipeline: DRR forest, three-component convergecast, largest-root
-// election, triple push-sum, then two data-spreads (mean, variance) and
-// the final tree broadcast.
-func Moments(eng *sim.Engine, values []float64, opts Options) (*MomentsResult, error) {
-	if len(values) != eng.N() {
-		return nil, errValues(len(values), eng.N())
-	}
-	runStart := eng.Stats()
-
-	eng.SetPhase(PhaseDRR)
-	dres, err := drr.Run(eng, opts.DRR)
+// Moments computes the global mean and variance on the complete graph with
+// a single DRR-gossip pipeline: DRR forest, three-component convergecast,
+// largest-root election, triple push-sum, then two data-spreads (mean,
+// variance) and the final tree broadcast.
+func Moments(eng *sim.Engine, values []float64) (*MomentsResult, error) {
+	var cov map[int]convergecast.MomentsVec
+	t, f, m, err := begin(eng, nil, values, func(f *forest.Forest) (err error) {
+		cov, _, err = convergecast.Moments(eng, f, values, convergecast.Options{})
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	f := dres.Forest
-	if f.NumTrees() == 0 {
-		return nil, ErrNoNodes
-	}
-	afterDRR := eng.Stats()
-	eng.SetPhase(PhaseAggregate)
-	cov, _, err := convergecast.Moments(eng, f, values, opts.Convergecast)
-	if err != nil {
-		return nil, err
-	}
-	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f, opts.Convergecast)
-	if err != nil {
-		return nil, err
-	}
+	d := t.(*dense) // the complete graph's transport: Moments is dense-only
 
 	// Elect the largest-tree root via Gossip-max on (size, id) keys.
 	keys := make(map[int]float64, f.NumTrees())
 	for r, mv := range cov {
 		keys[r] = largestKey(int(mv.Count), r)
 	}
-	afterAgg := eng.Stats()
-	eng.SetPhase(PhaseGossip)
-	kres, err := gossip.Max(eng, f, rootTo, keys, opts.Gossip)
+	kest, err := d.gossipMax(eng, f, keys)
 	if err != nil {
 		return nil, err
 	}
 	maxKey := math.Inf(-1)
-	for _, v := range kres.Estimates {
+	for _, v := range kest {
 		if v > maxKey {
 			maxKey = v
 		}
 	}
 	z := decodeKeyRoot(maxKey)
 
-	mres, err := gossip.Moments(eng, f, rootTo, cov,
-		gossip.AveOptions{Rounds: opts.AveRounds, TrackRoot: -1})
+	mres, err := gossip.Moments(eng, f, d.rootTo, cov, gossip.AveOptions{TrackRoot: -1})
 	if err != nil {
 		return nil, err
 	}
@@ -90,21 +71,20 @@ func Moments(eng *sim.Engine, values []float64, opts Options) (*MomentsResult, e
 	variance := mres.M2[z] - mean*mean
 
 	// Spread both values from z and broadcast them down the trees.
-	sMean, err := gossip.Spread(eng, f, rootTo, z, mean, opts.Gossip)
+	sMean, err := d.spread(eng, f, z, mean)
 	if err != nil {
 		return nil, err
 	}
-	sVar, err := gossip.Spread(eng, f, rootTo, z, variance, opts.Gossip)
+	sVar, err := d.spread(eng, f, z, variance)
 	if err != nil {
 		return nil, err
 	}
-	afterGossip := eng.Stats()
-	eng.SetPhase(PhaseBroadcast)
-	perMean, _, err := convergecast.BroadcastValue(eng, f, sMean.Estimates, opts.Convergecast)
+	m.next()
+	perMean, _, err := convergecast.BroadcastValue(eng, f, sMean, convergecast.Options{})
 	if err != nil {
 		return nil, err
 	}
-	perVar, _, err := convergecast.BroadcastValue(eng, f, sVar.Estimates, opts.Convergecast)
+	perVar, _, err := convergecast.BroadcastValue(eng, f, sVar, convergecast.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +99,7 @@ func Moments(eng *sim.Engine, values []float64, opts Options) (*MomentsResult, e
 			break
 		}
 	}
-	end := eng.Stats()
+	ph := m.phases()
 	return &MomentsResult{
 		Mean:            mean,
 		Variance:        variance,
@@ -127,16 +107,7 @@ func Moments(eng *sim.Engine, values []float64, opts Options) (*MomentsResult, e
 		PerNodeMean:     perMean,
 		PerNodeVariance: perVar,
 		Consensus:       consensus,
-		Phases: PhaseStats{
-			DRR:       afterDRR.Sub(runStart),
-			Aggregate: afterAgg.Sub(afterDRR),
-			Gossip:    afterGossip.Sub(afterAgg),
-			Broadcast: end.Sub(afterGossip),
-		},
-		Stats: end.Sub(runStart),
+		Phases:          ph,
+		Stats:           ph.Total(),
 	}, nil
-}
-
-func errValues(got, want int) error {
-	return fmt.Errorf("drrgossip: %d values for %d nodes", got, want)
 }

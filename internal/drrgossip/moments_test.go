@@ -22,7 +22,7 @@ func TestMomentsEndToEnd(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 141})
 	values := agg.GenUniform(n, 0, 100, 1)
-	res, err := Moments(eng, values, Options{})
+	res, err := Moments(eng, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestMomentsConstantValues(t *testing.T) {
 	for i := range values {
 		values[i] = 7.5
 	}
-	res, err := Moments(eng, values, Options{})
+	res, err := Moments(eng, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestMomentsUnderLossAndCrashes(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 143, Loss: 0.05, CrashFrac: 0.1})
 	values := agg.GenUniform(n, 0, 50, 2)
-	res, err := Moments(eng, values, Options{})
+	res, err := Moments(eng, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestMomentsSignedValues(t *testing.T) {
 	n := 1024
 	eng := sim.NewEngine(n, sim.Options{Seed: 144})
 	values := agg.GenSigned(n, 20, 3)
-	res, err := Moments(eng, values, Options{})
+	res, err := Moments(eng, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestMomentsSignedValues(t *testing.T) {
 
 func TestMomentsValidation(t *testing.T) {
 	eng := sim.NewEngine(16, sim.Options{Seed: 145})
-	if _, err := Moments(eng, make([]float64, 4), Options{}); err == nil {
+	if _, err := Moments(eng, make([]float64, 4)); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 }
@@ -119,11 +119,11 @@ func TestMomentsCostProfile(t *testing.T) {
 	// plus one extra spread.
 	n := 4096
 	values := agg.GenUniform(n, 0, 1, 4)
-	mres, err := Moments(sim.NewEngine(n, sim.Options{Seed: 146}), values, Options{})
+	mres, err := Moments(sim.NewEngine(n, sim.Options{Seed: 146}), values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ares, err := Ave(sim.NewEngine(n, sim.Options{Seed: 146}), values, Options{})
+	ares, err := Ave(sim.NewEngine(n, sim.Options{Seed: 146}), nil, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func BenchmarkMoments(b *testing.B) {
 	values := agg.GenUniform(n, 0, 1, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Moments(sim.NewEngine(n, sim.Options{Seed: uint64(i)}), values, Options{}); err != nil {
+		if _, err := Moments(sim.NewEngine(n, sim.Options{Seed: uint64(i)}), values); err != nil {
 			b.Fatal(err)
 		}
 	}

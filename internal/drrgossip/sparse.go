@@ -1,14 +1,14 @@
-// Sparse-network DRR-gossip (Section 4 / Theorems 13-14): Local-DRR
-// builds the forest over the overlay's links, convergecast and broadcast
-// run on tree edges (which are graph edges), and Phase III gossips
-// between roots via the overlay's routing protocol. The pipeline is
-// generic over overlay.Overlay — Chord keeps its finger router and
-// rejection sampler (T = O(log n) rounds, M = O(log n) messages per
-// random-node sample, giving O(log^2 n) time and O(n log n) messages
-// overall, Theorem 14), while arbitrary connected graphs route through
-// the landmark tree of internal/overlay with per-sample cost bounded by
-// twice the tree depth. Theorem 13 bounds the expected root count by the
-// harmonic degree sum Σ 1/(d_i+1) on any graph.
+// The routed transport: DRR-gossip on a sparse network (Section 4 /
+// Theorems 13-14). Local-DRR builds the forest over the overlay's links,
+// convergecast and broadcast run on tree edges (which are graph edges),
+// and Phase III gossips between roots via the overlay's routing
+// protocol. Chord keeps its finger router and rejection sampler
+// (T = O(log n) rounds, M = O(log n) messages per random-node sample,
+// giving O(log^2 n) time and O(n log n) messages overall, Theorem 14),
+// while arbitrary connected graphs route through the landmark tree of
+// internal/overlay with per-sample cost bounded by twice the tree depth.
+// Theorem 13 bounds the expected root count by the harmonic degree sum
+// Σ 1/(d_i+1) on any graph.
 package drrgossip
 
 import (
@@ -16,8 +16,6 @@ import (
 	"fmt"
 	"math"
 
-	"drrgossip/internal/agg"
-	"drrgossip/internal/chord"
 	"drrgossip/internal/convergecast"
 	"drrgossip/internal/forest"
 	"drrgossip/internal/gossip"
@@ -26,23 +24,11 @@ import (
 	"drrgossip/internal/sim"
 )
 
-// SparseOptions tune the sparse pipelines; zero values pick defaults.
-type SparseOptions struct {
-	LocalDRR     localdrr.Options
-	Convergecast convergecast.Options
-	GossipIters  int // gossip-procedure iterations (0 = 2 log n + 12)
-	SampleIters  int // sampling-procedure iterations (0 = log n + 8)
-	AveIters     int // push-sum iterations (0 = 4 log n + 24)
-}
-
 // ErrCrashedOverlay is returned when the engine has crashed nodes:
 // overlay routing repair (e.g. Chord successor-list maintenance under
 // churn) is outside this reproduction's scope, matching the paper, which
 // analyses sparse topologies without the crash model.
 var ErrCrashedOverlay = errors.New("drrgossip: sparse pipelines require all nodes alive")
-
-// ErrCrashedChord is the historical name of ErrCrashedOverlay.
-var ErrCrashedChord = ErrCrashedOverlay
 
 const (
 	kindSparseVal   uint8 = 0x41
@@ -114,54 +100,52 @@ func ticksPerIteration(ov overlay.Overlay, f *forest.Forest) int {
 	return ov.RouteBound() + f.MaxHeight() + 2
 }
 
-func (o SparseOptions) gossipIters(n int) int {
-	if o.GossipIters != 0 {
-		return o.GossipIters
-	}
-	return 2*int(math.Ceil(math.Log2(float64(n)))) + 12
-}
+// gossipIters is the number of gossip-procedure iterations: 2 log n + 12.
+func gossipIters(n int) int { return 2*ceilLog2(n) + 12 }
 
-func (o SparseOptions) sampleIters(n int) int {
-	if o.SampleIters != 0 {
-		return o.SampleIters
-	}
-	return int(math.Ceil(math.Log2(float64(n)))) + 8
-}
+// sampleIters is the number of sampling-procedure iterations: log n + 8.
+func sampleIters(n int) int { return ceilLog2(n) + 8 }
 
-func (o SparseOptions) aveIters(n int) int {
-	if o.AveIters != 0 {
-		return o.AveIters
-	}
-	return 4*int(math.Ceil(math.Log2(float64(n)))) + 24
-}
+// aveIters is the number of push-sum iterations: 4 log n + 24.
+func aveIters(n int) int { return 4*ceilLog2(n) + 24 }
 
-// sparsePhase12 runs Local-DRR and Phase II over the overlay.
-func sparsePhase12(eng *sim.Engine, ov overlay.Overlay, opts SparseOptions) (*forest.Forest, []int, *PhaseStats, error) {
-	if eng.NumAlive() != eng.N() {
-		return nil, nil, nil, ErrCrashedOverlay
-	}
-	if ov.Graph().N() != eng.N() {
-		return nil, nil, nil, fmt.Errorf("drrgossip: overlay %s has %d nodes, engine %d", ov.Name(), ov.Graph().N(), eng.N())
-	}
-	var ph PhaseStats
-	eng.SetPhase(PhaseDRR)
-	ldres, err := localdrr.Run(eng, ov.Graph(), opts.LocalDRR)
+func ceilLog2(n int) int { return int(math.Ceil(math.Log2(float64(n)))) }
+
+// routed is the overlay transport: Local-DRR, then root gossip over
+// routed overlay paths.
+type routed struct{ ov overlay.Overlay }
+
+func (rt routed) forest(eng *sim.Engine) (*forest.Forest, error) {
+	res, err := localdrr.Run(eng, rt.ov.Graph(), localdrr.Options{})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	ph.DRR = ldres.Stats
-	eng.SetPhase(PhaseAggregate)
-	rootTo, c, err := convergecast.BroadcastRootAddr(eng, ldres.Forest, opts.Convergecast)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ph.Aggregate = c
-	return ldres.Forest, rootTo, &ph, nil
+	return res.Forest, nil
 }
 
-// sparseGossipMax runs the Gossip-max gossip+sampling procedures over
-// routed overlay transport and returns per-root estimates.
-func sparseGossipMax(eng *sim.Engine, ov overlay.Overlay, f *forest.Forest, init map[int]float64, opts SparseOptions) (map[int]float64, error) {
+// aggregate broadcasts root addresses before converging. No routed
+// gossip reads the addresses, but the broadcast is part of the protocol
+// and its bill.
+func (rt routed) aggregate(eng *sim.Engine, f *forest.Forest, converge func() error) error {
+	if _, _, err := convergecast.BroadcastRootAddr(eng, f, convergecast.Options{}); err != nil {
+		return err
+	}
+	return converge()
+}
+
+// spread is Data-spread: Gossip-max with every root but z at -Inf.
+func (rt routed) spread(eng *sim.Engine, f *forest.Forest, z int, value float64) (map[int]float64, error) {
+	init := make(map[int]float64, f.NumTrees())
+	for _, r := range f.Roots() {
+		init[r] = math.Inf(-1)
+	}
+	init[z] = value
+	return rt.gossipMax(eng, f, init)
+}
+
+// gossipMax runs the Gossip-max gossip+sampling procedures over routed
+// overlay paths.
+func (rt routed) gossipMax(eng *sim.Engine, f *forest.Forest, init map[int]float64) (map[int]float64, error) {
 	roots := f.Roots()
 	val := make(map[int]float64, len(roots))
 	for _, r := range roots {
@@ -171,15 +155,15 @@ func sparseGossipMax(eng *sim.Engine, ov overlay.Overlay, f *forest.Forest, init
 		}
 		val[r] = v
 	}
-	ticks := ticksPerIteration(ov, f)
+	ticks := ticksPerIteration(rt.ov, f)
 	n := eng.N()
 
-	for t := 0; t < opts.gossipIters(n); t++ {
+	for t := 0; t < gossipIters(n); t++ {
 		for _, r := range roots {
 			if !eng.Alive(r) {
 				continue // crashed roots place no calls
 			}
-			shipToRandomRoot(eng, ov, f, r, sim.Payload{Kind: kindSparseVal, A: val[r]})
+			shipToRandomRoot(eng, rt.ov, f, r, sim.Payload{Kind: kindSparseVal, A: val[r]})
 		}
 		drainTicks(eng, roots, ticks, func(r int, m sim.Message) {
 			if m.Pay.Kind == kindSparseVal && m.Pay.A > val[r] {
@@ -187,13 +171,13 @@ func sparseGossipMax(eng *sim.Engine, ov overlay.Overlay, f *forest.Forest, init
 			}
 		})
 	}
-	for t := 0; t < opts.sampleIters(n); t++ {
+	for t := 0; t < sampleIters(n); t++ {
 		var inquiries []sim.Message
 		for _, r := range roots {
 			if !eng.Alive(r) {
 				continue
 			}
-			shipToRandomRoot(eng, ov, f, r, sim.Payload{Kind: kindSparseInq, X: int64(r)})
+			shipToRandomRoot(eng, rt.ov, f, r, sim.Payload{Kind: kindSparseInq, X: int64(r)})
 		}
 		drainTicks(eng, roots, ticks, func(r int, m sim.Message) {
 			if m.Pay.Kind == kindSparseInq {
@@ -202,7 +186,7 @@ func sparseGossipMax(eng *sim.Engine, ov overlay.Overlay, f *forest.Forest, init
 		})
 		for _, inq := range inquiries {
 			responder, inquirer := inq.To, inq.From
-			path := ov.Route(responder, inquirer)
+			path := rt.ov.Route(responder, inquirer)
 			if len(path) == 0 {
 				continue
 			}
@@ -217,12 +201,12 @@ func sparseGossipMax(eng *sim.Engine, ov overlay.Overlay, f *forest.Forest, init
 	return val, nil
 }
 
-// sparseGossipAve runs push-sum over roots with routed transport. With
+// gossipAve runs push-sum over roots on routed overlay paths. With
 // reliable set, shares travel with link-layer retransmission and are
 // restored to the sender when undeliverable, so no push-sum mass is ever
 // destroyed — required by the distinguished-root Sum/Count variants,
 // whose denominator is a single unit of mass (see gossip.AveOptions).
-func sparseGossipAve(eng *sim.Engine, ov overlay.Overlay, f *forest.Forest, init map[int]convergecast.SumCount, opts SparseOptions, reliable bool) (map[int]float64, error) {
+func (rt routed) gossipAve(eng *sim.Engine, f *forest.Forest, init map[int]convergecast.SumCount, reliable bool) (map[int]float64, error) {
 	roots := f.Roots()
 	s := make(map[int]float64, len(roots))
 	g := make(map[int]float64, len(roots))
@@ -233,7 +217,7 @@ func sparseGossipAve(eng *sim.Engine, ov overlay.Overlay, f *forest.Forest, init
 		}
 		s[r], g[r] = sc.Sum, sc.Count
 	}
-	ticks := ticksPerIteration(ov, f)
+	ticks := ticksPerIteration(rt.ov, f)
 	// In reliable mode, shares are tracked until their delivery round:
 	// if the destination root crashes while they are in flight, the
 	// engine discards them and the sender's ack times out — the share is
@@ -244,12 +228,12 @@ func sparseGossipAve(eng *sim.Engine, ov overlay.Overlay, f *forest.Forest, init
 		s, g        float64
 	}
 	var pendingShares []inflight
-	for t := 0; t < opts.aveIters(eng.N()); t++ {
+	for t := 0; t < aveIters(eng.N()); t++ {
 		for _, r := range roots {
 			if !eng.Alive(r) {
 				continue // a crashed root's (s, g) mass freezes in place
 			}
-			full := sampleRootPath(eng, ov, f, r)
+			full := sampleRootPath(eng, rt.ov, f, r)
 			if len(full) == 0 {
 				continue // sampled own root (or a dead end); mass stays
 			}
@@ -306,157 +290,4 @@ func sparseGossipAve(eng *sim.Engine, ov overlay.Overlay, f *forest.Forest, init
 		}
 	}
 	return est, nil
-}
-
-// MaxSparse runs DRR-gossip-max over any overlay (Theorem 14 pipeline).
-func MaxSparse(eng *sim.Engine, ov overlay.Overlay, values []float64, opts SparseOptions) (*Result, error) {
-	if len(values) != eng.N() {
-		return nil, fmt.Errorf("drrgossip: %d values for %d nodes", len(values), eng.N())
-	}
-	f, _, ph, err := sparsePhase12(eng, ov, opts)
-	if err != nil {
-		return nil, err
-	}
-	covmax, c, err := convergecast.Max(eng, f, values, opts.Convergecast)
-	if err != nil {
-		return nil, err
-	}
-	ph.Aggregate = addCounters(ph.Aggregate, c)
-
-	before := eng.Stats()
-	eng.SetPhase(PhaseGossip)
-	est, err := sparseGossipMax(eng, ov, f, covmax, opts)
-	if err != nil {
-		return nil, err
-	}
-	ph.Gossip = eng.Stats().Sub(before)
-
-	eng.SetPhase(PhaseBroadcast)
-	perNode, c3, err := convergecast.BroadcastValue(eng, f, est, opts.Convergecast)
-	if err != nil {
-		return nil, err
-	}
-	ph.Broadcast = c3
-	value := bestEffortValue(eng, f, perNode[f.LargestRoot()], est)
-	return finish(eng, f, value, perNode, *ph), nil
-}
-
-// MinSparse runs the Min variant (Gossip-max on negated values).
-func MinSparse(eng *sim.Engine, ov overlay.Overlay, values []float64, opts SparseOptions) (*Result, error) {
-	neg := make([]float64, len(values))
-	for i, v := range values {
-		neg[i] = -v
-	}
-	res, err := MaxSparse(eng, ov, neg, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Value = -res.Value
-	for i := range res.PerNode {
-		res.PerNode[i] = -res.PerNode[i]
-	}
-	return res, nil
-}
-
-// AveSparse runs DRR-gossip-ave over any overlay: Gossip-max on tree
-// sizes elects the largest root, push-sum converges there, Data-spread
-// distributes the answer, and the trees broadcast it to every node.
-func AveSparse(eng *sim.Engine, ov overlay.Overlay, values []float64, opts SparseOptions) (*Result, error) {
-	return avePipelineSparse(eng, ov, values, opts, pushAve)
-}
-
-// SumSparse computes the global sum over any overlay with the
-// distinguished-root push-sum (reliable routed shares).
-func SumSparse(eng *sim.Engine, ov overlay.Overlay, values []float64, opts SparseOptions) (*Result, error) {
-	return avePipelineSparse(eng, ov, values, opts, pushSum)
-}
-
-// CountSparse computes the number of nodes over any overlay.
-func CountSparse(eng *sim.Engine, ov overlay.Overlay, values []float64, opts SparseOptions) (*Result, error) {
-	return avePipelineSparse(eng, ov, values, opts, pushCount)
-}
-
-// RankSparse computes Rank(q) = |{i : v_i <= q}| over any overlay by
-// summing indicator values.
-func RankSparse(eng *sim.Engine, ov overlay.Overlay, values []float64, q float64, opts SparseOptions) (*Result, error) {
-	return SumSparse(eng, ov, agg.Indicator(values, q), opts)
-}
-
-func avePipelineSparse(eng *sim.Engine, ov overlay.Overlay, values []float64, opts SparseOptions, mode pushMode) (*Result, error) {
-	if len(values) != eng.N() {
-		return nil, fmt.Errorf("drrgossip: %d values for %d nodes", len(values), eng.N())
-	}
-	f, _, ph, err := sparsePhase12(eng, ov, opts)
-	if err != nil {
-		return nil, err
-	}
-	covsum, c, err := convergecast.Sum(eng, f, values, opts.Convergecast)
-	if err != nil {
-		return nil, err
-	}
-	ph.Aggregate = addCounters(ph.Aggregate, c)
-
-	before := eng.Stats()
-	eng.SetPhase(PhaseGossip)
-	keys := make(map[int]float64, f.NumTrees())
-	for r, sc := range covsum {
-		keys[r] = largestKey(int(sc.Count), r)
-	}
-	kest, err := sparseGossipMax(eng, ov, f, keys, opts)
-	if err != nil {
-		return nil, err
-	}
-	maxKey := math.Inf(-1)
-	for _, v := range kest {
-		if v > maxKey {
-			maxKey = v
-		}
-	}
-	z, err := electRoot(eng, f, maxKey, keys)
-	if err != nil {
-		return nil, err
-	}
-
-	// Sum and Count ship their shares reliably: their distinguished-root
-	// denominator is a single unit of mass whose loss cannot be averaged
-	// away, unlike the Ave ratio where losses cancel.
-	est, err := sparseGossipAve(eng, ov, f, buildInit(mode, covsum, z), opts, mode != pushAve)
-	if err != nil {
-		return nil, err
-	}
-
-	// Data-spread of z's estimate; under mid-run crashes fall back to the
-	// best surviving estimate (see bestEffortValue).
-	value := bestEffortValue(eng, f, est[z], est)
-	spreadInit := make(map[int]float64, f.NumTrees())
-	for _, r := range f.Roots() {
-		spreadInit[r] = math.Inf(-1)
-	}
-	spreadInit[z] = value
-	sest, err := sparseGossipMax(eng, ov, f, spreadInit, opts)
-	if err != nil {
-		return nil, err
-	}
-	ph.Gossip = eng.Stats().Sub(before)
-
-	eng.SetPhase(PhaseBroadcast)
-	perNode, c3, err := convergecast.BroadcastValue(eng, f, sest, opts.Convergecast)
-	if err != nil {
-		return nil, err
-	}
-	ph.Broadcast = c3
-	return finish(eng, f, value, perNode, *ph), nil
-}
-
-// MaxOnChord runs DRR-gossip-max over a Chord overlay. It is the
-// historical Chord-specific entry point, now a thin wrapper over
-// MaxSparse.
-func MaxOnChord(eng *sim.Engine, ring *chord.Ring, values []float64, opts SparseOptions) (*Result, error) {
-	return MaxSparse(eng, overlay.NewChord(ring), values, opts)
-}
-
-// AveOnChord runs DRR-gossip-ave over a Chord overlay (wrapper over
-// AveSparse).
-func AveOnChord(eng *sim.Engine, ring *chord.Ring, values []float64, opts SparseOptions) (*Result, error) {
-	return AveSparse(eng, overlay.NewChord(ring), values, opts)
 }

@@ -1,6 +1,7 @@
 package drrgossip
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestMaxOnChordEndToEnd(t *testing.T) {
 	ring := evenRing(t, n)
 	eng := sim.NewEngine(n, sim.Options{Seed: 61})
 	values := agg.GenUniform(n, 0, 1000, 1)
-	res, err := MaxOnChord(eng, ring, values, SparseOptions{})
+	res, err := Max(eng, overlay.NewChord(ring), values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestMaxOnChordHashedPlacement(t *testing.T) {
 	}
 	eng := sim.NewEngine(n, sim.Options{Seed: 62})
 	values := agg.GenUniform(n, 0, 100, 2)
-	res, err := MaxOnChord(eng, ring, values, SparseOptions{})
+	res, err := Max(eng, overlay.NewChord(ring), values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestAveOnChordEndToEnd(t *testing.T) {
 	ring := evenRing(t, n)
 	eng := sim.NewEngine(n, sim.Options{Seed: 63})
 	values := agg.GenUniform(n, 0, 100, 3)
-	res, err := AveOnChord(eng, ring, values, SparseOptions{})
+	res, err := Ave(eng, overlay.NewChord(ring), values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestChordComplexityTheorem14(t *testing.T) {
 	ring := evenRing(t, n)
 	eng := sim.NewEngine(n, sim.Options{Seed: 64})
 	values := agg.GenUniform(n, 0, 1, 4)
-	res, err := MaxOnChord(eng, ring, values, SparseOptions{})
+	res, err := Max(eng, overlay.NewChord(ring), values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestChordUnderLoss(t *testing.T) {
 	ring := evenRing(t, n)
 	eng := sim.NewEngine(n, sim.Options{Seed: 65, Loss: 0.05})
 	values := agg.GenUniform(n, 0, 1000, 5)
-	res, err := MaxOnChord(eng, ring, values, SparseOptions{})
+	res, err := Max(eng, overlay.NewChord(ring), values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestChordRejectsCrashes(t *testing.T) {
 	ring := evenRing(t, n)
 	eng := sim.NewEngine(n, sim.Options{Seed: 66, CrashFrac: 0.2})
 	values := agg.GenUniform(n, 0, 1, 6)
-	if _, err := MaxOnChord(eng, ring, values, SparseOptions{}); err != ErrCrashedChord {
+	if _, err := Max(eng, overlay.NewChord(ring), values); !errors.Is(err, ErrCrashedOverlay) {
 		t.Fatalf("crashed chord accepted: %v", err)
 	}
 }
@@ -118,7 +119,7 @@ func TestChordRejectsCrashes(t *testing.T) {
 func TestChordSizeMismatch(t *testing.T) {
 	ring := evenRing(t, 128)
 	eng := sim.NewEngine(64, sim.Options{Seed: 67})
-	if _, err := MaxOnChord(eng, ring, make([]float64, 64), SparseOptions{}); err == nil {
+	if _, err := Max(eng, overlay.NewChord(ring), make([]float64, 64)); err == nil {
 		t.Fatal("ring/engine size mismatch accepted")
 	}
 }
@@ -128,7 +129,7 @@ func TestClimbPath(t *testing.T) {
 	ring := evenRing(t, n)
 	eng := sim.NewEngine(n, sim.Options{Seed: 68})
 	values := agg.GenUniform(n, 0, 1, 7)
-	res, err := MaxOnChord(eng, ring, values, SparseOptions{})
+	res, err := Max(eng, overlay.NewChord(ring), values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func BenchmarkMaxOnChord(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine(n, sim.Options{Seed: uint64(i)})
-		if _, err := MaxOnChord(eng, ring, values, SparseOptions{}); err != nil {
+		if _, err := Max(eng, overlay.NewChord(ring), values); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -193,35 +194,35 @@ func TestSparsePipelineAcrossOverlays(t *testing.T) {
 	for _, ov := range testOverlays(t, n, 3) {
 		ov := ov
 		t.Run(ov.Name(), func(t *testing.T) {
-			mres, err := MaxSparse(sim.NewEngine(n, sim.Options{Seed: 101}), ov, values, SparseOptions{})
+			mres, err := Max(sim.NewEngine(n, sim.Options{Seed: 101}), ov, values)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if mres.Value != wantMax || !mres.Consensus {
 				t.Fatalf("Max = %v (consensus %v), want %v", mres.Value, mres.Consensus, wantMax)
 			}
-			nres, err := MinSparse(sim.NewEngine(n, sim.Options{Seed: 102}), ov, values, SparseOptions{})
+			nres, err := Min(sim.NewEngine(n, sim.Options{Seed: 102}), ov, values)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want := agg.Exact(agg.Min, values, 0); nres.Value != want || !nres.Consensus {
 				t.Fatalf("Min = %v, want %v", nres.Value, want)
 			}
-			ares, err := AveSparse(sim.NewEngine(n, sim.Options{Seed: 103}), ov, values, SparseOptions{})
+			ares, err := Ave(sim.NewEngine(n, sim.Options{Seed: 103}), ov, values)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if e := agg.RelError(ares.Value, wantAve); e > 1e-5 || !ares.Consensus {
 				t.Fatalf("Ave = %v (rel err %v, consensus %v)", ares.Value, e, ares.Consensus)
 			}
-			sres, err := SumSparse(sim.NewEngine(n, sim.Options{Seed: 104}), ov, values, SparseOptions{})
+			sres, err := Sum(sim.NewEngine(n, sim.Options{Seed: 104}), ov, values)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if e := agg.RelError(sres.Value, wantSum); e > 1e-5 || !sres.Consensus {
 				t.Fatalf("Sum = %v (rel err %v, consensus %v)", sres.Value, e, sres.Consensus)
 			}
-			cres, err := CountSparse(sim.NewEngine(n, sim.Options{Seed: 105}), ov, values, SparseOptions{})
+			cres, err := Count(sim.NewEngine(n, sim.Options{Seed: 105}), ov, values)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,7 +241,7 @@ func TestRankSparse(t *testing.T) {
 	}
 	values := agg.GenUniform(n, 0, 1000, 10)
 	q := 400.0
-	res, err := RankSparse(sim.NewEngine(n, sim.Options{Seed: 106}), ov, values, q, SparseOptions{})
+	res, err := Rank(sim.NewEngine(n, sim.Options{Seed: 106}), ov, values, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestSumSparseUnderLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	values := agg.GenUniform(n, 0, 100, 11)
-	res, err := SumSparse(sim.NewEngine(n, sim.Options{Seed: 107, Loss: 0.05}), ov, values, SparseOptions{})
+	res, err := Sum(sim.NewEngine(n, sim.Options{Seed: 107, Loss: 0.05}), ov, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestSparseRejectsCrashedEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine(n, sim.Options{Seed: 108, CrashFrac: 0.2})
-	if _, err := MaxSparse(eng, ov, make([]float64, n), SparseOptions{}); err != ErrCrashedOverlay {
+	if _, err := Max(eng, ov, make([]float64, n)); !errors.Is(err, ErrCrashedOverlay) {
 		t.Fatalf("crashed engine accepted: %v", err)
 	}
 }
@@ -287,7 +288,7 @@ func TestSparseSizeMismatchOverlay(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine(64, sim.Options{Seed: 109})
-	if _, err := MaxSparse(eng, ov, make([]float64, 64), SparseOptions{}); err == nil {
+	if _, err := Max(eng, ov, make([]float64, 64)); err == nil {
 		t.Fatal("overlay/engine size mismatch accepted")
 	}
 }

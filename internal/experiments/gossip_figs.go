@@ -222,11 +222,11 @@ func RunF8(cfg Config) (*Report, error) {
 	values := agg.GenUniform(n, 0, 1000, seed)
 	loss := 0.05
 
-	maxRes, err := drrgossip.Max(sim.NewEngine(n, sim.Options{Seed: seed, Loss: loss}), values, drrgossip.Options{})
+	maxRes, err := drrgossip.Max(sim.NewEngine(n, sim.Options{Seed: seed, Loss: loss}), nil, values)
 	if err != nil {
 		return nil, err
 	}
-	aveRes, err := drrgossip.Ave(sim.NewEngine(n, sim.Options{Seed: seed + 1, Loss: loss}), values, drrgossip.Options{})
+	aveRes, err := drrgossip.Ave(sim.NewEngine(n, sim.Options{Seed: seed + 1, Loss: loss}), nil, values)
 	if err != nil {
 		return nil, err
 	}

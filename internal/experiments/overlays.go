@@ -71,41 +71,33 @@ func runOverlaysHealthy(cfg Config, specs []string) (*Report, error) {
 	sim.ForEachRun(len(specs), cfg.workers(), func(k int) {
 		o := &outs[k]
 		text := specs[k]
-		if strings.EqualFold(strings.TrimSpace(text), "complete") {
-			o.name, o.edges = "complete", "-"
-			if o.mres, o.err = drrgossip.Max(sim.NewEngine(n, sim.Options{Seed: cfg.Seed}), values, drrgossip.Options{}); o.err != nil {
+		var ov overlay.Overlay // nil: the complete graph
+		o.name, o.edges = "complete", "-"
+		if !strings.EqualFold(strings.TrimSpace(text), "complete") {
+			spec, err := overlay.ParseSpec(text)
+			if err != nil {
+				o.err = err
 				return
 			}
-			if o.ares, o.err = drrgossip.Ave(sim.NewEngine(n, sim.Options{Seed: cfg.Seed + 1}), values, drrgossip.Options{}); o.err != nil {
+			if ov, err = overlay.Build(spec, n, xrand.Hash(cfg.Seed, 0x0071, uint64(n))); err != nil {
+				o.err = err
 				return
 			}
-			o.sres, o.err = drrgossip.Sum(sim.NewEngine(n, sim.Options{Seed: cfg.Seed + 2}), values, drrgossip.Options{})
+			g := ov.Graph()
+			o.name, o.sparse = spec.String(), true
+			o.edges = g.NumEdges()
+			o.harmonicVal = g.HarmonicDegreeSum()
+		}
+		if o.mres, o.err = drrgossip.Max(sim.NewEngine(n, sim.Options{Seed: cfg.Seed}), ov, values); o.err != nil {
+			o.err = fmt.Errorf("%s max: %w", o.name, o.err)
 			return
 		}
-		spec, err := overlay.ParseSpec(text)
-		if err != nil {
-			o.err = err
+		if o.ares, o.err = drrgossip.Ave(sim.NewEngine(n, sim.Options{Seed: cfg.Seed + 1}), ov, values); o.err != nil {
+			o.err = fmt.Errorf("%s ave: %w", o.name, o.err)
 			return
 		}
-		ov, err := overlay.Build(spec, n, xrand.Hash(cfg.Seed, 0x0071, uint64(n)))
-		if err != nil {
-			o.err = err
-			return
-		}
-		g := ov.Graph()
-		o.name, o.sparse = spec.String(), true
-		o.edges = g.NumEdges()
-		o.harmonicVal = g.HarmonicDegreeSum()
-		if o.mres, o.err = drrgossip.MaxSparse(sim.NewEngine(n, sim.Options{Seed: cfg.Seed}), ov, values, drrgossip.SparseOptions{}); o.err != nil {
-			o.err = fmt.Errorf("%s max: %w", spec, o.err)
-			return
-		}
-		if o.ares, o.err = drrgossip.AveSparse(sim.NewEngine(n, sim.Options{Seed: cfg.Seed + 1}), ov, values, drrgossip.SparseOptions{}); o.err != nil {
-			o.err = fmt.Errorf("%s ave: %w", spec, o.err)
-			return
-		}
-		if o.sres, o.err = drrgossip.SumSparse(sim.NewEngine(n, sim.Options{Seed: cfg.Seed + 2}), ov, values, drrgossip.SparseOptions{}); o.err != nil {
-			o.err = fmt.Errorf("%s sum: %w", spec, o.err)
+		if o.sres, o.err = drrgossip.Sum(sim.NewEngine(n, sim.Options{Seed: cfg.Seed + 2}), ov, values); o.err != nil {
+			o.err = fmt.Errorf("%s sum: %w", o.name, o.err)
 		}
 	})
 

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"drrgossip/internal/sim"
@@ -67,6 +68,12 @@ func TestParseEmptyAndErrors(t *testing.T) {
 		"loss:0.2@0.6..0.0",   // zero window end
 		";;",                  // no events at all
 		"part:two@0.25..0.75", // bad group count
+		"rejoin:0",            // zero amounts select no node
+		"crash:0",
+		"rack:0",
+		"crash:0.0",
+		"flaky:0:0.3@0.1..0.9",
+		"crash:NaN",
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec); !errors.Is(err, ErrBadPlan) {
@@ -91,6 +98,13 @@ func TestValidateRejects(t *testing.T) {
 		{Events: []Event{{Kind: Crash, Frac: 0.5, At: AtFrac(2)}}}, // time out of range
 		{Events: []Event{{Kind: Crash, Frac: 0.5, At: At(-1)}}},    // negative round
 		{Events: []Event{{Kind: Kind(250), Frac: 0.5}}},            // unknown kind
+		// NaN fails every range check.
+		{Events: []Event{{Kind: LossBurst, Loss: math.NaN()}}},
+		{Events: []Event{{Kind: Flaky, Frac: 0.1, Loss: math.NaN()}}},
+		{Events: []Event{{Kind: ChurnKind, Rate: math.NaN()}}},
+		{Events: []Event{{Kind: Crash, Frac: math.NaN()}}},
+		{Events: []Event{{Kind: Crash, Frac: 0.5, At: AtFrac(math.NaN())}}},
+		{Events: []Event{{Kind: Crash, Frac: 0.5, End: AtFrac(math.NaN())}}},
 	}
 	for i := range bad {
 		if err := bad[i].Validate(n); !errors.Is(err, ErrBadPlan) {

@@ -197,13 +197,18 @@ func parseNodeSet(text string) (nodes []int, frac float64, count int, err error)
 	return nodes, 0, 0, nil
 }
 
-// parseAmount reads a node amount: a fraction in [0,1] when the text
+// parseAmount reads a node amount: a fraction in (0,1] when the text
 // carries a '.' or exponent marker (so "1.0" is the whole population,
-// not a count of one), otherwise an absolute integer count.
+// not a count of one), otherwise an absolute integer count >= 1. A zero
+// amount is rejected: it would select no node, and its Canonical form
+// (an empty amount) would not re-parse.
 func parseAmount(text string) (frac float64, count int, err error) {
 	v, err := strconv.ParseFloat(text, 64)
-	if err != nil || v < 0 {
+	if err != nil || !(v >= 0) {
 		return 0, 0, fmt.Errorf("bad node amount %q", text)
+	}
+	if v == 0 {
+		return 0, 0, fmt.Errorf("node amount %q selects no node (want > 0)", text)
 	}
 	if strings.ContainsAny(text, ".eE") {
 		if v > 1 {
@@ -223,7 +228,7 @@ func parseTiming(text string) (Timing, error) {
 	text = strings.TrimSpace(text)
 	if strings.ContainsAny(text, ".eE") {
 		f, err := strconv.ParseFloat(text, 64)
-		if err != nil || f < 0 || f > 1 {
+		if err != nil || !(f >= 0 && f <= 1) {
 			return Timing{}, fmt.Errorf("bad time fraction %q (want [0,1])", text)
 		}
 		return AtFrac(f), nil

@@ -442,13 +442,14 @@ func coreRun(r *core.Result) *runResult {
 // protoFunc executes one full protocol run on a fresh engine.
 type protoFunc func(eng *sim.Engine, ov overlay.Overlay) (*runResult, error)
 
-// dispatch selects the dense or sparse pipeline for op.
+// dispatch selects the pipeline for op; ov (nil = the complete graph)
+// picks its transport.
 func dispatch(op Op, values []float64, arg float64) protoFunc {
 	return func(eng *sim.Engine, ov overlay.Overlay) (*runResult, error) {
 		var r *core.Result
 		var err error
-		switch {
-		case op == OpMoments:
+		switch op {
+		case OpMoments:
 			// Guarded here as well as in aggregate(): the parallel batch
 			// path binds fault plans through dispatch directly, and the
 			// dense Moments protocol would otherwise silently run on a
@@ -456,7 +457,7 @@ func dispatch(op Op, values []float64, arg float64) protoFunc {
 			if ov != nil {
 				return nil, errMomentsTopology(ov.Name())
 			}
-			m, err := core.Moments(eng, values, core.Options{})
+			m, err := core.Moments(eng, values)
 			if err != nil {
 				return nil, err
 			}
@@ -468,40 +469,20 @@ func dispatch(op Op, values []float64, arg float64) protoFunc {
 				phaseCosts: phaseCosts(m.Phases),
 				mom:        m,
 			}, nil
-		case ov == nil:
-			switch op {
-			case OpMax:
-				r, err = core.Max(eng, values, core.Options{})
-			case OpMin:
-				r, err = core.Min(eng, values, core.Options{})
-			case OpSum:
-				r, err = core.Sum(eng, values, core.Options{})
-			case OpCount:
-				r, err = core.Count(eng, values, core.Options{})
-			case OpAverage:
-				r, err = core.Ave(eng, values, core.Options{})
-			case OpRank:
-				r, err = core.Rank(eng, values, arg, core.Options{})
-			default:
-				return nil, fmt.Errorf("%w: %s has no single-run protocol", ErrBadConfig, op)
-			}
+		case OpMax:
+			r, err = core.Max(eng, ov, values)
+		case OpMin:
+			r, err = core.Min(eng, ov, values)
+		case OpSum:
+			r, err = core.Sum(eng, ov, values)
+		case OpCount:
+			r, err = core.Count(eng, ov, values)
+		case OpAverage:
+			r, err = core.Ave(eng, ov, values)
+		case OpRank:
+			r, err = core.Rank(eng, ov, values, arg)
 		default:
-			switch op {
-			case OpMax:
-				r, err = core.MaxSparse(eng, ov, values, core.SparseOptions{})
-			case OpMin:
-				r, err = core.MinSparse(eng, ov, values, core.SparseOptions{})
-			case OpSum:
-				r, err = core.SumSparse(eng, ov, values, core.SparseOptions{})
-			case OpCount:
-				r, err = core.CountSparse(eng, ov, values, core.SparseOptions{})
-			case OpAverage:
-				r, err = core.AveSparse(eng, ov, values, core.SparseOptions{})
-			case OpRank:
-				r, err = core.RankSparse(eng, ov, values, arg, core.SparseOptions{})
-			default:
-				return nil, fmt.Errorf("%w: %s has no single-run protocol", ErrBadConfig, op)
-			}
+			return nil, fmt.Errorf("%w: %s has no single-run protocol", ErrBadConfig, op)
 		}
 		if err != nil {
 			return nil, err
