@@ -27,10 +27,13 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Documentation gate: every exported identifier in the root package,
-# internal/overlay, the DRR-gossip pipelines and the async subsystem
-# must carry a doc comment (see cmd/godoclint).
+# internal/overlay, the DRR-gossip pipelines and their phases, the
+# baselines and the async subsystem must carry a doc comment (see
+# cmd/godoclint).
 doc-check:
-	$(GO) run ./cmd/godoclint . ./internal/overlay ./internal/drrgossip ./internal/async ./internal/pairwise
+	$(GO) run ./cmd/godoclint . ./internal/overlay ./internal/drrgossip ./internal/async ./internal/pairwise \
+		./internal/convergecast ./internal/gossip ./internal/drr ./internal/localdrr ./internal/kashyap \
+		./internal/pietro ./internal/karp ./internal/drrapps ./internal/oblivious ./internal/hms
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...

@@ -60,7 +60,7 @@ func BenchmarkT1_KashyapAve(b *testing.B) {
 	var r *kashyap.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = kashyap.Ave(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), values, kashyap.Options{})
+		r, err = kashyap.Ave(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), values)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -136,15 +136,15 @@ func benchPhase12(b *testing.B, eng *sim.Engine, values []float64) (rootTo []int
 	if err != nil {
 		b.Fatal(err)
 	}
-	covmax, _, err = convergecast.Max(eng, dres.Forest, values, convergecast.Options{})
+	covmax, _, err = convergecast.Max(eng, dres.Forest, values)
 	if err != nil {
 		b.Fatal(err)
 	}
-	covsum, _, err = convergecast.Sum(eng, dres.Forest, values, convergecast.Options{})
+	covsum, _, err = convergecast.Sum(eng, dres.Forest, values)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rootTo, _, err = convergecast.BroadcastRootAddr(eng, dres.Forest, convergecast.Options{})
+	rootTo, _, err = convergecast.BroadcastRootAddr(eng, dres.Forest)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func BenchmarkF5_F6_GossipMax(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine(benchN, sim.Options{Seed: uint64(i)})
 		rootTo, covmax, _, _, dres := benchPhase12(b, eng, values)
-		res, err := gossip.Max(eng, dres.Forest, rootTo, covmax, gossip.Options{})
+		res, err := gossip.Max(eng, dres.Forest, rootTo, covmax)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func BenchmarkF9_LocalDRRHeight(b *testing.B) {
 	g := graph.MustRandomRegular(benchN, 8, 7)
 	var height int
 	for i := 0; i < b.N; i++ {
-		res, err := localdrr.Run(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), g, localdrr.Options{})
+		res, err := localdrr.Run(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), g)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func BenchmarkF10_LocalDRRTrees(b *testing.B) {
 	g := graph.Torus(64, 64)
 	var trees int
 	for i := 0; i < b.N; i++ {
-		res, err := localdrr.Run(sim.NewEngine(g.N(), sim.Options{Seed: uint64(i)}), g, localdrr.Options{})
+		res, err := localdrr.Run(sim.NewEngine(g.N(), sim.Options{Seed: uint64(i)}), g)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -287,7 +287,7 @@ func BenchmarkF12_KarpRumor(b *testing.B) {
 	var r *karp.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = karp.Spread(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), 0, karp.Options{})
+		r, err = karp.Spread(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -352,7 +352,7 @@ func BenchmarkA3_ClusterheadHeuristic(b *testing.B) {
 	var r *pietro.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = pietro.Max(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), values, pietro.Options{})
+		r, err = pietro.Max(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), values)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -627,7 +627,7 @@ func BenchmarkExtElectLeader(b *testing.B) {
 	var r *drrapps.ElectionResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = drrapps.ElectLeader(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), drrapps.Options{})
+		r, err = drrapps.ElectLeader(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -639,7 +639,7 @@ func BenchmarkExtSpanningTree(b *testing.B) {
 	var r *drrapps.SpanningResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = drrapps.BuildSpanningTree(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), drrapps.Options{})
+		r, err = drrapps.BuildSpanningTree(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -84,8 +84,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "drrgossip: %v\n", err)
 		os.Exit(2)
 	}
-	values := agg.GenUniform(*n, *lo, *hi, *seed)
-
 	// Assemble the telemetry taps: an in-memory buffer for the Chrome
 	// trace, a JSONL writer for -events, live metrics for -http. File
 	// sinks get full per-round fidelity; metrics alone only need a
@@ -120,6 +118,22 @@ func main() {
 		cfg.Telemetry = &telemetry.Options{Sink: sink, RoundEvery: every}
 	}
 
+	// Build the Network before generating values: New validates the
+	// configuration (N among it), so a bad flag gets ErrBadConfig rather
+	// than a panic in the value generator.
+	net, err := drrgossip.New(cfg)
+	fail(err)
+	if *progress > 0 {
+		every := *progress
+		net.Observe(drrgossip.ObserverFunc(func(ri drrgossip.RoundInfo) {
+			if ri.Round%every == 0 {
+				fmt.Fprintf(os.Stderr, "  run %d round %6d [%-9s] alive %d msgs %d drops %d faults %d\n",
+					ri.Run, ri.Round, ri.Phase, ri.Alive, ri.Messages, ri.Drops, ri.FaultEvents)
+			}
+		}))
+	}
+
+	values := agg.GenUniform(*n, *lo, *hi, *seed)
 	var query drrgossip.Query
 	switch strings.ToLower(*aggName) {
 	case "min":
@@ -147,17 +161,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	net, err := drrgossip.New(cfg)
-	fail(err)
-	if *progress > 0 {
-		every := *progress
-		net.Observe(drrgossip.ObserverFunc(func(ri drrgossip.RoundInfo) {
-			if ri.Round%every == 0 {
-				fmt.Fprintf(os.Stderr, "  run %d round %6d [%-9s] alive %d msgs %d drops %d faults %d\n",
-					ri.Run, ri.Round, ri.Phase, ri.Alive, ri.Messages, ri.Drops, ri.FaultEvents)
-			}
-		}))
-	}
 	ans, err := net.Run(query)
 	fail(err)
 

@@ -357,11 +357,10 @@ type Config struct {
 // attempts.
 type RetryPolicy struct {
 	// Attempts is the maximum number of epoch-restart re-runs after the
-	// initial attempt (>= 1).
+	// initial attempt (>= 1). Re-run k uses seed Seed + k·0x9E3779B97F4A7C15
+	// (the odd 64-bit golden-ratio constant), so every epoch draws
+	// independent randomness.
 	Attempts int
-	// SeedStride is the seed advance per attempt; 0 picks a large odd
-	// default so every epoch draws independent randomness.
-	SeedStride uint64
 }
 
 // AllNodes is the Config.SampleNodes sentinel requesting the full

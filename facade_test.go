@@ -273,6 +273,26 @@ func TestHistogramValidation(t *testing.T) {
 	if _, err := runOnce(cfg, HistogramOf(values, []float64{5, 5})); !errors.Is(err, ErrBadConfig) {
 		t.Fatal("non-increasing edges accepted")
 	}
+	// NaN edges and a NaN Rank threshold fail validation before any
+	// protocol run (an unchecked {100, NaN, 700} yields a negative bucket).
+	nw, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []Query{
+		HistogramOf(values, []float64{100, math.NaN(), 700}),
+		HistogramOf(values, []float64{math.NaN()}),
+		HistogramOf(values, []float64{math.NaN(), 100}),
+		HistogramOf(values, []float64{100, math.NaN()}),
+		RankOf(values, math.NaN()),
+	} {
+		if ans, err := nw.Run(q); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("%s edges %v arg %v: want ErrBadConfig, got %v (ans %+v)", q.Op, q.Edges, q.Arg, err, ans)
+		}
+	}
+	if st := nw.Stats(); st.ProtocolRuns != 0 {
+		t.Fatalf("NaN queries still spent %d protocol runs", st.ProtocolRuns)
+	}
 	badCfg := cfg
 	badCfg.Topology = Topology{name: "bogus"}
 	if _, err := runOnce(badCfg, HistogramOf(values, []float64{5})); !errors.Is(err, ErrBadConfig) {

@@ -58,10 +58,10 @@ func decodeElectKey(key float64) int {
 }
 
 // ElectLeader elects the highest-DRR-ranked node as the common leader.
-func ElectLeader(eng *sim.Engine, opts Options) (*ElectionResult, error) {
+func ElectLeader(eng *sim.Engine) (*ElectionResult, error) {
 	n := eng.N()
 	start := eng.Stats()
-	dres, err := drr.Run(eng, opts.DRR)
+	dres, err := drr.Run(eng, drr.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -79,19 +79,19 @@ func ElectLeader(eng *sim.Engine, opts Options) (*ElectionResult, error) {
 			keys[i] = electKey(dres.Ranks[i], i)
 		}
 	}
-	covmax, _, err := convergecast.Max(eng, f, keys, opts.Convergecast)
+	covmax, _, err := convergecast.Max(eng, f, keys)
 	if err != nil {
 		return nil, err
 	}
-	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f, opts.Convergecast)
+	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f)
 	if err != nil {
 		return nil, err
 	}
-	gres, err := gossip.Max(eng, f, rootTo, covmax, opts.Gossip)
+	gres, err := gossip.Max(eng, f, rootTo, covmax)
 	if err != nil {
 		return nil, err
 	}
-	perNodeKey, _, err := convergecast.BroadcastValue(eng, f, gres.Estimates, opts.Convergecast)
+	perNodeKey, _, err := convergecast.BroadcastValue(eng, f, gres.Estimates)
 	if err != nil {
 		return nil, err
 	}
@@ -124,14 +124,6 @@ func ElectLeader(eng *sim.Engine, opts Options) (*ElectionResult, error) {
 	}, nil
 }
 
-// Options tune the drrapps protocols; zero values reproduce the paper's
-// parameters.
-type Options struct {
-	DRR          drr.Options
-	Convergecast convergecast.Options
-	Gossip       gossip.Options
-}
-
 // SpanningResult reports a spanning-structure construction.
 type SpanningResult struct {
 	// Parent is a spanning tree of the surviving nodes: Parent[i] is the
@@ -147,9 +139,9 @@ type SpanningResult struct {
 
 // BuildSpanningTree builds a spanning tree of the surviving nodes: DRR
 // trees with every non-leader root adopted by the leader.
-func BuildSpanningTree(eng *sim.Engine, opts Options) (*SpanningResult, error) {
+func BuildSpanningTree(eng *sim.Engine) (*SpanningResult, error) {
 	start := eng.Stats()
-	el, err := ElectLeader(eng, opts)
+	el, err := ElectLeader(eng)
 	if err != nil {
 		return nil, err
 	}

@@ -135,12 +135,12 @@ func (d *dense) aggregate(eng *sim.Engine, f *forest.Forest, converge func() err
 		return err
 	}
 	var err error
-	d.rootTo, _, err = convergecast.BroadcastRootAddr(eng, f, convergecast.Options{})
+	d.rootTo, _, err = convergecast.BroadcastRootAddr(eng, f)
 	return err
 }
 
 func (d *dense) gossipMax(eng *sim.Engine, f *forest.Forest, init map[int]float64) (map[int]float64, error) {
-	res, err := gossip.Max(eng, f, d.rootTo, init, gossip.Options{})
+	res, err := gossip.Max(eng, f, d.rootTo, init)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +156,7 @@ func (d *dense) gossipAve(eng *sim.Engine, f *forest.Forest, init map[int]conver
 }
 
 func (d *dense) spread(eng *sim.Engine, f *forest.Forest, z int, value float64) (map[int]float64, error) {
-	res, err := gossip.Spread(eng, f, d.rootTo, z, value, gossip.Options{})
+	res, err := gossip.Spread(eng, f, d.rootTo, z, value)
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +237,7 @@ func maxPipeline(eng *sim.Engine, ov overlay.Overlay, values []float64, negate b
 	}
 	var covmax map[int]float64
 	t, f, m, err := begin(eng, ov, work, func(f *forest.Forest) (err error) {
-		covmax, _, err = convergecast.Max(eng, f, work, convergecast.Options{})
+		covmax, _, err = convergecast.Max(eng, f, work)
 		return err
 	})
 	if err != nil {
@@ -252,7 +252,7 @@ func maxPipeline(eng *sim.Engine, ov overlay.Overlay, values []float64, negate b
 
 	// Final dissemination down the trees.
 	m.next()
-	perNode, _, err := convergecast.BroadcastValue(eng, f, est, convergecast.Options{})
+	perNode, _, err := convergecast.BroadcastValue(eng, f, est)
 	if err != nil {
 		return nil, err
 	}
@@ -374,7 +374,7 @@ func buildInit(mode pushMode, covsum map[int]convergecast.SumCount, z int) map[i
 func avePipeline(eng *sim.Engine, ov overlay.Overlay, values []float64, mode pushMode) (*Result, error) {
 	var covsum map[int]convergecast.SumCount
 	t, f, m, err := begin(eng, ov, values, func(f *forest.Forest) (err error) {
-		covsum, _, err = convergecast.Sum(eng, f, values, convergecast.Options{})
+		covsum, _, err = convergecast.Sum(eng, f, values)
 		return err
 	})
 	if err != nil {
@@ -426,7 +426,7 @@ func avePipeline(eng *sim.Engine, ov overlay.Overlay, values []float64, mode pus
 
 	// Final dissemination down the trees.
 	m.next()
-	perNode, _, err := convergecast.BroadcastValue(eng, f, sest, convergecast.Options{})
+	perNode, _, err := convergecast.BroadcastValue(eng, f, sest)
 	if err != nil {
 		return nil, err
 	}

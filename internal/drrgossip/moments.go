@@ -38,7 +38,7 @@ type MomentsResult struct {
 func Moments(eng *sim.Engine, values []float64) (*MomentsResult, error) {
 	var cov map[int]convergecast.MomentsVec
 	t, f, m, err := begin(eng, nil, values, func(f *forest.Forest) (err error) {
-		cov, _, err = convergecast.Moments(eng, f, values, convergecast.Options{})
+		cov, _, err = convergecast.Moments(eng, f, values)
 		return err
 	})
 	if err != nil {
@@ -80,11 +80,11 @@ func Moments(eng *sim.Engine, values []float64) (*MomentsResult, error) {
 		return nil, err
 	}
 	m.next()
-	perMean, _, err := convergecast.BroadcastValue(eng, f, sMean, convergecast.Options{})
+	perMean, _, err := convergecast.BroadcastValue(eng, f, sMean)
 	if err != nil {
 		return nil, err
 	}
-	perVar, _, err := convergecast.BroadcastValue(eng, f, sVar, convergecast.Options{})
+	perVar, _, err := convergecast.BroadcastValue(eng, f, sVar)
 	if err != nil {
 		return nil, err
 	}

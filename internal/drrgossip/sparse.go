@@ -116,7 +116,7 @@ func ceilLog2(n int) int { return int(math.Ceil(math.Log2(float64(n)))) }
 type routed struct{ ov overlay.Overlay }
 
 func (rt routed) forest(eng *sim.Engine) (*forest.Forest, error) {
-	res, err := localdrr.Run(eng, rt.ov.Graph(), localdrr.Options{})
+	res, err := localdrr.Run(eng, rt.ov.Graph())
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +127,7 @@ func (rt routed) forest(eng *sim.Engine) (*forest.Forest, error) {
 // gossip reads the addresses, but the broadcast is part of the protocol
 // and its bill.
 func (rt routed) aggregate(eng *sim.Engine, f *forest.Forest, converge func() error) error {
-	if _, _, err := convergecast.BroadcastRootAddr(eng, f, convergecast.Options{}); err != nil {
+	if _, _, err := convergecast.BroadcastRootAddr(eng, f); err != nil {
 		return err
 	}
 	return converge()

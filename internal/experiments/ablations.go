@@ -157,7 +157,7 @@ func RunA3(cfg Config) (*Report, error) {
 			seed := xrand.Hash(cfg.Seed, 0xA3, uint64(n), uint64(trial))
 			values := agg.GenUniform(n, 0, 100, seed)
 
-			pres, err := pietro.Max(sim.NewEngine(n, sim.Options{Seed: seed}), values, pietro.Options{})
+			pres, err := pietro.Max(sim.NewEngine(n, sim.Options{Seed: seed}), values)
 			if err != nil {
 				return nil, err
 			}

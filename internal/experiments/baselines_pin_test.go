@@ -39,77 +39,77 @@ func TestBaselineBillsPinned(t *testing.T) {
 		want bill
 	}{
 		{"kashyap.Max", func() (bill, error) {
-			r, err := kashyap.Max(eng(0), values, kashyap.Options{})
+			r, err := kashyap.Max(eng(0), values)
 			if err != nil {
 				return bill{}, err
 			}
 			return bill{r.Stats.Rounds, r.Stats.Messages, r.Value}, nil
 		}, bill{125, 7838, 997.5195897121575}},
 		{"kashyap.Ave", func() (bill, error) {
-			r, err := kashyap.Ave(eng(0), values, kashyap.Options{})
+			r, err := kashyap.Ave(eng(0), values)
 			if err != nil {
 				return bill{}, err
 			}
 			return bill{r.Stats.Rounds, r.Stats.Messages, r.Value}, nil
 		}, bill{245, 16134, 510.9145271169462}},
 		{"kashyap.Ave/loss", func() (bill, error) {
-			r, err := kashyap.Ave(eng(0.05), values, kashyap.Options{})
+			r, err := kashyap.Ave(eng(0.05), values)
 			if err != nil {
 				return bill{}, err
 			}
 			return bill{r.Stats.Rounds, r.Stats.Messages, r.Value}, nil
 		}, bill{274, 22816, 508.5288931397765}},
 		{"pietro.Max", func() (bill, error) {
-			r, err := pietro.Max(eng(0), values, pietro.Options{})
+			r, err := pietro.Max(eng(0), values)
 			if err != nil {
 				return bill{}, err
 			}
 			return bill{r.Stats.Rounds, r.Stats.Messages, r.Value}, nil
 		}, bill{122, 6936, 997.5195897121575}},
 		{"pietro.Ave", func() (bill, error) {
-			r, err := pietro.Ave(eng(0), values, pietro.Options{})
+			r, err := pietro.Ave(eng(0), values)
 			if err != nil {
 				return bill{}, err
 			}
 			return bill{r.Stats.Rounds, r.Stats.Messages, r.Value}, nil
 		}, bill{242, 14463, 510.914527281016}},
 		{"pietro.Ave/loss", func() (bill, error) {
-			r, err := pietro.Ave(eng(0.05), values, pietro.Options{})
+			r, err := pietro.Ave(eng(0.05), values)
 			if err != nil {
 				return bill{}, err
 			}
 			return bill{r.Stats.Rounds, r.Stats.Messages, r.Value}, nil
 		}, bill{273, 16446, 510.9853638864768}},
 		{"karp.Spread", func() (bill, error) {
-			r, err := karp.Spread(eng(0), 0, karp.Options{})
+			r, err := karp.Spread(eng(0), 0)
 			if err != nil {
 				return bill{}, err
 			}
 			return bill{r.Stats.Rounds, r.Stats.Messages, float64(r.Transmissions)}, nil
 		}, bill{13, 6656, 2033}},
 		{"karp.Spread/loss", func() (bill, error) {
-			r, err := karp.Spread(eng(0.05), 0, karp.Options{})
+			r, err := karp.Spread(eng(0.05), 0)
 			if err != nil {
 				return bill{}, err
 			}
 			return bill{r.Stats.Rounds, r.Stats.Messages, float64(r.Transmissions)}, nil
 		}, bill{14, 6982, 2075}},
 		{"drrapps.ElectLeader", func() (bill, error) {
-			r, err := drrapps.ElectLeader(eng(0), drrapps.Options{})
+			r, err := drrapps.ElectLeader(eng(0))
 			if err != nil {
 				return bill{}, err
 			}
 			return bill{r.Stats.Rounds, r.Stats.Messages, float64(r.Leader)}, nil
 		}, bill{99, 6738, 141}},
 		{"drrapps.ElectLeader/loss", func() (bill, error) {
-			r, err := drrapps.ElectLeader(eng(0.05), drrapps.Options{})
+			r, err := drrapps.ElectLeader(eng(0.05))
 			if err != nil {
 				return bill{}, err
 			}
 			return bill{r.Stats.Rounds, r.Stats.Messages, float64(r.Leader)}, nil
 		}, bill{112, 7846, 141}},
 		{"drrapps.BuildSpanningTree", func() (bill, error) {
-			r, err := drrapps.BuildSpanningTree(eng(0), drrapps.Options{})
+			r, err := drrapps.BuildSpanningTree(eng(0))
 			if err != nil {
 				return bill{}, err
 			}

@@ -24,15 +24,15 @@ func phase12(eng *sim.Engine, values []float64) (*forest.Forest, []int, map[int]
 		return nil, nil, nil, nil, err
 	}
 	f := dres.Forest
-	covmax, _, err := convergecast.Max(eng, f, values, convergecast.Options{})
+	covmax, _, err := convergecast.Max(eng, f, values)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	covsum, _, err := convergecast.Sum(eng, f, values, convergecast.Options{})
+	covsum, _, err := convergecast.Sum(eng, f, values)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f, convergecast.Options{})
+	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -62,7 +62,7 @@ func RunF5(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := gossip.Max(eng, f, rootTo, covmax, gossip.Options{})
+			res, err := gossip.Max(eng, f, rootTo, covmax)
 			if err != nil {
 				return nil, err
 			}
@@ -111,7 +111,7 @@ func RunF6(cfg Config) (*Report, error) {
 				if err != nil {
 					return nil, err
 				}
-				res, err := gossip.Max(eng, f, rootTo, covmax, gossip.Options{})
+				res, err := gossip.Max(eng, f, rootTo, covmax)
 				if err != nil {
 					return nil, err
 				}

@@ -60,7 +60,7 @@ func RunT1(cfg Config) (*Report, error) {
 				relErr:   agg.RelError(dres.Value, want),
 			}
 
-			kres, err := kashyap.Ave(sim.NewEngine(n, sim.Options{Seed: seed + 1}), values, kashyap.Options{})
+			kres, err := kashyap.Ave(sim.NewEngine(n, sim.Options{Seed: seed + 1}), values)
 			if err != nil {
 				o.err = err
 				return

@@ -32,14 +32,6 @@ const (
 	kindAveShare  uint8 = 0x34
 )
 
-// Options tune Gossip-max and Data-spread. Zero values pick defaults
-// scaled as in the paper: O(log n) gossip rounds (with the 1/(1-ρ) loss
-// inflation, ρ = 2δ) and O(log n) sampling rounds.
-type Options struct {
-	GossipRounds int // gossip-procedure iterations (1 round each)
-	SampleRounds int // sampling-procedure iterations (2 rounds each)
-}
-
 // lossInflate scales a round budget by the paper's 1/(1-ρ) factor, where
 // ρ = 2δ is the per-relay link-failure probability, further divided by the
 // alive fraction (shares aimed at initially-crashed relays are wasted
@@ -53,12 +45,23 @@ func lossInflate(base int, eng *sim.Engine) int {
 	return int(math.Ceil(float64(base)/((1-rho)*alive))) + 1
 }
 
-func defaultGossipRounds(eng *sim.Engine) int {
+// gossipRounds is Gossip-max's O(log n) gossip-procedure length,
+// 2·ceil(log2 n) + 12 iterations of one round each, loss-inflated.
+func gossipRounds(eng *sim.Engine) int {
 	return lossInflate(2*ceilLog2(eng.N())+12, eng)
 }
 
-func defaultSampleRounds(eng *sim.Engine) int {
+// sampleRounds is Gossip-max's O(log n) sampling-procedure length,
+// ceil(log2 n) + 8 iterations of two rounds each, loss-inflated.
+func sampleRounds(eng *sim.Engine) int {
 	return lossInflate(ceilLog2(eng.N())+8, eng)
+}
+
+// aveRounds is the push-sum length of Gossip-ave and the moments
+// variant, 4·ceil(log2 n) + 24 iterations — the paper's
+// O(log m + log 1/ε) with ε = n^-2 — loss-inflated.
+func aveRounds(eng *sim.Engine) int {
+	return lossInflate(4*ceilLog2(eng.N())+24, eng)
 }
 
 func ceilLog2(n int) int {
@@ -110,7 +113,7 @@ func relayTarget(eng *sim.Engine, rootTo []int, chooser int) (relay, dst int) {
 // Max runs Algorithm 4 on the roots of f. init maps every root to its
 // initial value (e.g. the convergecast-max of its tree); rootTo gives
 // every node's root address (from the Phase II broadcast).
-func Max(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]float64, opts Options) (*MaxResult, error) {
+func Max(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]float64) (*MaxResult, error) {
 	if err := checkInputs(eng, f, rootTo); err != nil {
 		return nil, err
 	}
@@ -125,19 +128,12 @@ func Max(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]float64, 
 		val[r] = v
 	}
 
-	gossipRounds := opts.GossipRounds
-	if gossipRounds == 0 {
-		gossipRounds = defaultGossipRounds(eng)
-	}
-	sampleRounds := opts.SampleRounds
-	if sampleRounds == 0 {
-		sampleRounds = defaultSampleRounds(eng)
-	}
+	gRounds, sRounds := gossipRounds(eng), sampleRounds(eng)
 
 	// Gossip procedure: push the current estimate to a random node's root.
 	// Roots that crash mid-run place no further calls (their estimate
 	// freezes; the rest of the clique keeps gossiping).
-	for t := 0; t < gossipRounds; t++ {
+	for t := 0; t < gRounds; t++ {
 		for _, r := range roots {
 			if !eng.Alive(r) {
 				continue
@@ -162,7 +158,7 @@ func Max(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]float64, 
 	// Sampling procedure: inquire a random node's root and adopt its
 	// value if larger. Each iteration takes two rounds (inquiry out,
 	// reply back).
-	for t := 0; t < sampleRounds; t++ {
+	for t := 0; t < sRounds; t++ {
 		for _, r := range roots {
 			if !eng.Alive(r) {
 				continue
@@ -197,7 +193,7 @@ func Max(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]float64, 
 // Spread runs Data-spread (Algorithm 5): the source root's value is
 // spread to all roots by running Gossip-max with every other root
 // initialised to -Inf.
-func Spread(eng *sim.Engine, f *forest.Forest, rootTo []int, source int, value float64, opts Options) (*MaxResult, error) {
+func Spread(eng *sim.Engine, f *forest.Forest, rootTo []int, source int, value float64) (*MaxResult, error) {
 	if !f.IsRoot(source) {
 		return nil, fmt.Errorf("gossip: spread source %d is not a root", source)
 	}
@@ -206,14 +202,11 @@ func Spread(eng *sim.Engine, f *forest.Forest, rootTo []int, source int, value f
 		init[r] = math.Inf(-1)
 	}
 	init[source] = value
-	return Max(eng, f, rootTo, init, opts)
+	return Max(eng, f, rootTo, init)
 }
 
 // AveOptions tune Gossip-ave.
 type AveOptions struct {
-	// Rounds is the number of push-sum iterations; 0 means the paper's
-	// O(log m + log 1/ε) with ε = n^-2, loss-inflated.
-	Rounds int
 	// TrackRoot records the per-round estimate trajectory of this root
 	// (-1 to disable): the convergence curve of Theorem 7.
 	TrackRoot int
@@ -265,10 +258,7 @@ func Ave(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]convergec
 		s[r] = sc.Sum
 		g[r] = sc.Count
 	}
-	rounds := opts.Rounds
-	if rounds == 0 {
-		rounds = lossInflate(4*ceilLog2(eng.N())+24, eng)
-	}
+	rounds := aveRounds(eng)
 
 	// Optional contribution tracking for the Lemma 8 potential.
 	var (

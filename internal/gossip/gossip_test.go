@@ -20,15 +20,15 @@ func phase12(t *testing.T, eng *sim.Engine, values []float64) (*forest.Forest, [
 		t.Fatal(err)
 	}
 	f := dres.Forest
-	covmax, _, err := convergecast.Max(eng, f, values, convergecast.Options{})
+	covmax, _, err := convergecast.Max(eng, f, values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	covsum, _, err := convergecast.Sum(eng, f, values, convergecast.Options{})
+	covsum, _, err := convergecast.Sum(eng, f, values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f, convergecast.Options{})
+	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestMaxAllRootsConverge(t *testing.T) {
 		eng := sim.NewEngine(n, sim.Options{Seed: 21, Loss: loss})
 		values := agg.GenUniform(n, 0, 1000, 5)
 		f, rootTo, covmax, _ := phase12(t, eng, values)
-		res, err := Max(eng, f, rootTo, covmax, Options{})
+		res, err := Max(eng, f, rootTo, covmax)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestMaxAfterGossipFractionTheorem5(t *testing.T) {
 	eng := sim.NewEngine(n, sim.Options{Seed: 22})
 	values := agg.GenUniform(n, 0, 1000, 6)
 	f, rootTo, covmax, _ := phase12(t, eng, values)
-	res, err := Max(eng, f, rootTo, covmax, Options{})
+	res, err := Max(eng, f, rootTo, covmax)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestMaxMessageComplexityLinear(t *testing.T) {
 	eng := sim.NewEngine(n, sim.Options{Seed: 23})
 	values := agg.GenUniform(n, 0, 1, 7)
 	f, rootTo, covmax, _ := phase12(t, eng, values)
-	res, err := Max(eng, f, rootTo, covmax, Options{})
+	res, err := Max(eng, f, rootTo, covmax)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestSpreadReachesAllRoots(t *testing.T) {
 	values := agg.GenUniform(n, 0, 1, 8)
 	f, rootTo, _, _ := phase12(t, eng, values)
 	source := f.LargestRoot()
-	res, err := Spread(eng, f, rootTo, source, 1234.5, Options{})
+	res, err := Spread(eng, f, rootTo, source, 1234.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestSpreadRejectsNonRoot(t *testing.T) {
 			break
 		}
 	}
-	if _, err := Spread(eng, f, rootTo, nonRoot, 1, Options{}); err == nil {
+	if _, err := Spread(eng, f, rootTo, nonRoot, 1); err == nil {
 		t.Fatal("non-root spread source accepted")
 	}
 }
@@ -285,7 +285,7 @@ func TestMissingInitRejected(t *testing.T) {
 	values := agg.GenUniform(n, 0, 1, 16)
 	f, rootTo, covmax, covsum := phase12(t, eng, values)
 	delete(covmax, f.Roots()[0])
-	if _, err := Max(eng, f, rootTo, covmax, Options{}); err == nil {
+	if _, err := Max(eng, f, rootTo, covmax); err == nil {
 		t.Fatal("missing max init accepted")
 	}
 	delete(covsum, f.Roots()[0])
@@ -301,7 +301,7 @@ func TestInputValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	badRootTo := make([]int, 5) // wrong length
-	if _, err := Max(eng, f, badRootTo, map[int]float64{0: 1, 4: 2}, Options{}); err == nil {
+	if _, err := Max(eng, f, badRootTo, map[int]float64{0: 1, 4: 2}); err == nil {
 		t.Fatal("bad rootTo length accepted")
 	}
 }
@@ -311,7 +311,7 @@ func TestWithCrashes(t *testing.T) {
 	eng := sim.NewEngine(n, sim.Options{Seed: 34, CrashFrac: 0.2, Loss: 0.05})
 	values := agg.GenUniform(n, 0, 500, 17)
 	f, rootTo, covmax, _ := phase12(t, eng, values)
-	res, err := Max(eng, f, rootTo, covmax, Options{})
+	res, err := Max(eng, f, rootTo, covmax)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,15 +333,15 @@ func BenchmarkGossipMaxPhase(b *testing.B) {
 			b.Fatal(err)
 		}
 		values := agg.GenUniform(n, 0, 1, uint64(i))
-		covmax, _, err := convergecast.Max(eng, dres.Forest, values, convergecast.Options{})
+		covmax, _, err := convergecast.Max(eng, dres.Forest, values)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rootTo, _, err := convergecast.BroadcastRootAddr(eng, dres.Forest, convergecast.Options{})
+		rootTo, _, err := convergecast.BroadcastRootAddr(eng, dres.Forest)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Max(eng, dres.Forest, rootTo, covmax, Options{}); err != nil {
+		if _, err := Max(eng, dres.Forest, rootTo, covmax); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -356,11 +356,11 @@ func TestMomentsTriplePushSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := dres.Forest
-	cov, _, err := convergecast.Moments(eng, f, values, convergecast.Options{})
+	cov, _, err := convergecast.Moments(eng, f, values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f, convergecast.Options{})
+	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,11 +392,11 @@ func TestMomentsReliableSharesUnderLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := dres.Forest
-	cov, _, err := convergecast.Moments(eng, f, values, convergecast.Options{})
+	cov, _, err := convergecast.Moments(eng, f, values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f, convergecast.Options{})
+	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestMomentsMissingInit(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := dres.Forest
-	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f, convergecast.Options{})
+	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f)
 	if err != nil {
 		t.Fatal(err)
 	}

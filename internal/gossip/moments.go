@@ -48,10 +48,7 @@ func Moments(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]conve
 		s2[r] = mv.Sum2
 		g[r] = mv.Count
 	}
-	rounds := opts.Rounds
-	if rounds == 0 {
-		rounds = lossInflate(4*ceilLog2(eng.N())+24, eng)
-	}
+	rounds := aveRounds(eng)
 	for t := 0; t < rounds; t++ {
 		for _, r := range roots {
 			relay, dst := relayTarget(eng, rootTo, r)

@@ -32,17 +32,6 @@ import (
 	"drrgossip/internal/sim"
 )
 
-// Options tune the baseline; zero values pick contract-scaled defaults.
-type Options struct {
-	Phases         int // merge phases (0 = ceil(log2 log2 n), min 2)
-	MergeSubRounds int // merge attempts per phase (0 = 3)
-	SizeCap        int // cluster size cap (0 = 4 log2 n)
-	PhaseBudget    int // rounds per phase (0 = ceil(log2 n) + 4)
-	Convergecast   convergecast.Options
-	Gossip         gossip.Options
-	AveRounds      int
-}
-
 // Result mirrors the DRR-gossip result shape for the harness.
 type Result struct {
 	Value     float64
@@ -71,10 +60,8 @@ func ceilLog2(n int) int {
 	return l
 }
 
-func (o Options) phases(n int) int {
-	if o.Phases != 0 {
-		return o.Phases
-	}
+// phases is the number of merge phases, ceil(log2 log2 n) (minimum 2).
+func phases(n int) int {
 	p := int(math.Ceil(math.Log2(float64(ceilLog2(n)))))
 	if p < 2 {
 		p = 2
@@ -82,30 +69,19 @@ func (o Options) phases(n int) int {
 	return p
 }
 
-func (o Options) subRounds() int {
-	if o.MergeSubRounds != 0 {
-		return o.MergeSubRounds
-	}
-	return 3
-}
+// subRounds is the number of merge attempts per phase.
+const subRounds = 3
 
-func (o Options) sizeCap(n int) int {
-	if o.SizeCap != 0 {
-		return o.SizeCap
-	}
-	return 4 * ceilLog2(n)
-}
+// sizeCap is the cluster size cap, 4·ceil(log2 n).
+func sizeCap(n int) int { return 4 * ceilLog2(n) }
 
-func (o Options) phaseBudget(n int) int {
-	if o.PhaseBudget != 0 {
-		return o.PhaseBudget
-	}
-	return ceilLog2(n) + 4
-}
+// phaseBudget is the synchronous round budget of one phase,
+// ceil(log2 n) + 4.
+func phaseBudget(n int) int { return ceilLog2(n) + 4 }
 
 // BuildForest runs the clustering phases and returns the cluster forest
 // plus each node's root address.
-func BuildForest(eng *sim.Engine, opts Options) (*forest.Forest, []int, sim.Counters, error) {
+func BuildForest(eng *sim.Engine) (*forest.Forest, []int, sim.Counters, error) {
 	n := eng.N()
 	start := eng.Stats()
 	parent := make([]int, n)
@@ -123,11 +99,11 @@ func BuildForest(eng *sim.Engine, opts Options) (*forest.Forest, []int, sim.Coun
 	}
 	isRoot := func(i int) bool { return parent[i] == forest.Root }
 	calls := make([]sim.Call, n)
-	sizeCap := opts.sizeCap(n)
+	maxSize := sizeCap(n)
 
-	for phase := 0; phase < opts.phases(n); phase++ {
+	for phase := 0; phase < phases(n); phase++ {
 		phaseStart := eng.Round()
-		for sub := 0; sub < opts.subRounds(); sub++ {
+		for sub := 0; sub < subRounds; sub++ {
 			// Role flip: proposers seek adoption, acceptors adopt.
 			proposer := make([]bool, n)
 			learned := make([]int, n) // sampled node's root, -1 unknown
@@ -164,7 +140,7 @@ func BuildForest(eng *sim.Engine, opts Options) (*forest.Forest, []int, sim.Coun
 			eng.ResolveCalls(calls,
 				func(callee, caller int, req sim.Payload) (sim.Payload, bool) {
 					// Adopt only while a root, an acceptor, and under cap.
-					if !isRoot(callee) || proposer[callee] || size[callee]+int(req.X) > sizeCap {
+					if !isRoot(callee) || proposer[callee] || size[callee]+int(req.X) > maxSize {
 						return sim.Payload{}, false
 					}
 					size[callee] += int(req.X)
@@ -179,13 +155,13 @@ func BuildForest(eng *sim.Engine, opts Options) (*forest.Forest, []int, sim.Coun
 		if err != nil {
 			return nil, nil, eng.Stats().Sub(start), fmt.Errorf("kashyap: invalid forest: %w", err)
 		}
-		fresh, _, err := convergecast.BroadcastRootAddr(eng, f, opts.Convergecast)
+		fresh, _, err := convergecast.BroadcastRootAddr(eng, f)
 		if err != nil {
 			return nil, nil, eng.Stats().Sub(start), err
 		}
 		rootTo = fresh
 		// Pad to the synchronous phase budget (idle rounds still tick).
-		for eng.Round()-phaseStart < opts.phaseBudget(n) {
+		for eng.Round()-phaseStart < phaseBudget(n) {
 			eng.Tick()
 		}
 	}
@@ -197,27 +173,27 @@ func BuildForest(eng *sim.Engine, opts Options) (*forest.Forest, []int, sim.Coun
 }
 
 // Max computes the global maximum with efficient gossip.
-func Max(eng *sim.Engine, values []float64, opts Options) (*Result, error) {
+func Max(eng *sim.Engine, values []float64) (*Result, error) {
 	if len(values) != eng.N() {
 		return nil, fmt.Errorf("kashyap: %d values for %d nodes", len(values), eng.N())
 	}
 	runStart := eng.Stats()
-	f, rootTo, build, err := BuildForest(eng, opts)
+	f, rootTo, build, err := BuildForest(eng)
 	if err != nil {
 		return nil, err
 	}
 	if f.NumTrees() == 0 {
 		return nil, ErrNoNodes
 	}
-	covmax, _, err := convergecast.Max(eng, f, values, opts.Convergecast)
+	covmax, _, err := convergecast.Max(eng, f, values)
 	if err != nil {
 		return nil, err
 	}
-	gres, err := gossip.Max(eng, f, rootTo, covmax, opts.Gossip)
+	gres, err := gossip.Max(eng, f, rootTo, covmax)
 	if err != nil {
 		return nil, err
 	}
-	perNode, _, err := convergecast.BroadcastValue(eng, f, gres.Estimates, opts.Convergecast)
+	perNode, _, err := convergecast.BroadcastValue(eng, f, gres.Estimates)
 	if err != nil {
 		return nil, err
 	}
@@ -226,19 +202,19 @@ func Max(eng *sim.Engine, values []float64, opts Options) (*Result, error) {
 
 // Ave computes the global average with efficient gossip, following the
 // same elect/push-sum/spread structure as DRR-gossip-ave.
-func Ave(eng *sim.Engine, values []float64, opts Options) (*Result, error) {
+func Ave(eng *sim.Engine, values []float64) (*Result, error) {
 	if len(values) != eng.N() {
 		return nil, fmt.Errorf("kashyap: %d values for %d nodes", len(values), eng.N())
 	}
 	runStart := eng.Stats()
-	f, rootTo, build, err := BuildForest(eng, opts)
+	f, rootTo, build, err := BuildForest(eng)
 	if err != nil {
 		return nil, err
 	}
 	if f.NumTrees() == 0 {
 		return nil, ErrNoNodes
 	}
-	covsum, _, err := convergecast.Sum(eng, f, values, opts.Convergecast)
+	covsum, _, err := convergecast.Sum(eng, f, values)
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +222,7 @@ func Ave(eng *sim.Engine, values []float64, opts Options) (*Result, error) {
 	for r, sc := range covsum {
 		keys[r] = float64(int(sc.Count))*(1<<24) + float64(r)
 	}
-	kres, err := gossip.Max(eng, f, rootTo, keys, opts.Gossip)
+	kres, err := gossip.Max(eng, f, rootTo, keys)
 	if err != nil {
 		return nil, err
 	}
@@ -260,15 +236,15 @@ func Ave(eng *sim.Engine, values []float64, opts Options) (*Result, error) {
 	if !f.IsRoot(z) {
 		return nil, fmt.Errorf("kashyap: elected node %d is not a root", z)
 	}
-	ares, err := gossip.Ave(eng, f, rootTo, covsum, gossip.AveOptions{Rounds: opts.AveRounds, TrackRoot: -1})
+	ares, err := gossip.Ave(eng, f, rootTo, covsum, gossip.AveOptions{TrackRoot: -1})
 	if err != nil {
 		return nil, err
 	}
-	sres, err := gossip.Spread(eng, f, rootTo, z, ares.Estimates[z], opts.Gossip)
+	sres, err := gossip.Spread(eng, f, rootTo, z, ares.Estimates[z])
 	if err != nil {
 		return nil, err
 	}
-	perNode, _, err := convergecast.BroadcastValue(eng, f, sres.Estimates, opts.Convergecast)
+	perNode, _, err := convergecast.BroadcastValue(eng, f, sres.Estimates)
 	if err != nil {
 		return nil, err
 	}

@@ -25,20 +25,6 @@ import (
 	"drrgossip/internal/sim"
 )
 
-// Options tune the heuristic; zero values follow the announcement's
-// parameters.
-type Options struct {
-	// HeadProb is the clusterhead self-selection probability
-	// (0 = 1/log2 n).
-	HeadProb float64
-	// ProbeCap bounds per-node head-search probes (0 = 4 log2 n); nodes
-	// that never find a head become singleton heads.
-	ProbeCap     int
-	Convergecast convergecast.Options
-	Gossip       gossip.Options
-	AveRounds    int
-}
-
 // Result mirrors the other pipelines' result shape.
 type Result struct {
 	Value     float64
@@ -56,26 +42,20 @@ var ErrNoNodes = errors.New("pietro: no alive nodes")
 
 const kindFindHead uint8 = 0x81
 
-func (o Options) headProb(n int) float64 {
-	if o.HeadProb != 0 {
-		return o.HeadProb
-	}
-	return 1 / math.Log2(float64(n))
-}
+// headProb is the announcement's clusterhead self-selection
+// probability, 1/log2 n.
+func headProb(n int) float64 { return 1 / math.Log2(float64(n)) }
 
-func (o Options) probeCap(n int) int {
-	if o.ProbeCap != 0 {
-		return o.ProbeCap
-	}
-	return 4 * int(math.Ceil(math.Log2(float64(n))))
-}
+// probeCap bounds per-node head-search probes at 4·ceil(log2 n); nodes
+// that never find a head become singleton heads.
+func probeCap(n int) int { return 4 * int(math.Ceil(math.Log2(float64(n)))) }
 
 // Bootstrap builds the clusterhead star forest: heads self-select, other
 // nodes probe random nodes (one call per round) until they hit a head.
-func Bootstrap(eng *sim.Engine, opts Options) (*forest.Forest, sim.Counters, error) {
+func Bootstrap(eng *sim.Engine) (*forest.Forest, sim.Counters, error) {
 	n := eng.N()
 	start := eng.Stats()
-	p := opts.headProb(n)
+	p := headProb(n)
 	head := make([]bool, n)
 	parent := make([]int, n)
 	for i := 0; i < n; i++ {
@@ -91,7 +71,7 @@ func Bootstrap(eng *sim.Engine, opts Options) (*forest.Forest, sim.Counters, err
 		}
 	}
 	calls := make([]sim.Call, n)
-	for probe := 0; probe < opts.probeCap(n); probe++ {
+	for probe := 0; probe < probeCap(n); probe++ {
 		eng.Tick()
 		searching := false
 		for i := 0; i < n; i++ {
@@ -137,31 +117,31 @@ func Bootstrap(eng *sim.Engine, opts Options) (*forest.Forest, sim.Counters, err
 }
 
 // Max computes the global maximum with the clusterhead heuristic.
-func Max(eng *sim.Engine, values []float64, opts Options) (*Result, error) {
+func Max(eng *sim.Engine, values []float64) (*Result, error) {
 	if len(values) != eng.N() {
 		return nil, fmt.Errorf("pietro: %d values for %d nodes", len(values), eng.N())
 	}
 	runStart := eng.Stats()
-	f, boot, err := Bootstrap(eng, opts)
+	f, boot, err := Bootstrap(eng)
 	if err != nil {
 		return nil, err
 	}
 	if f.NumTrees() == 0 {
 		return nil, ErrNoNodes
 	}
-	covmax, _, err := convergecast.Max(eng, f, values, opts.Convergecast)
+	covmax, _, err := convergecast.Max(eng, f, values)
 	if err != nil {
 		return nil, err
 	}
-	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f, opts.Convergecast)
+	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f)
 	if err != nil {
 		return nil, err
 	}
-	gres, err := gossip.Max(eng, f, rootTo, covmax, opts.Gossip)
+	gres, err := gossip.Max(eng, f, rootTo, covmax)
 	if err != nil {
 		return nil, err
 	}
-	perNode, _, err := convergecast.BroadcastValue(eng, f, gres.Estimates, opts.Convergecast)
+	perNode, _, err := convergecast.BroadcastValue(eng, f, gres.Estimates)
 	if err != nil {
 		return nil, err
 	}
@@ -170,23 +150,23 @@ func Max(eng *sim.Engine, values []float64, opts Options) (*Result, error) {
 
 // Ave computes the global average with the clusterhead heuristic, using
 // the same elect/push-sum/spread structure as the other pipelines.
-func Ave(eng *sim.Engine, values []float64, opts Options) (*Result, error) {
+func Ave(eng *sim.Engine, values []float64) (*Result, error) {
 	if len(values) != eng.N() {
 		return nil, fmt.Errorf("pietro: %d values for %d nodes", len(values), eng.N())
 	}
 	runStart := eng.Stats()
-	f, boot, err := Bootstrap(eng, opts)
+	f, boot, err := Bootstrap(eng)
 	if err != nil {
 		return nil, err
 	}
 	if f.NumTrees() == 0 {
 		return nil, ErrNoNodes
 	}
-	covsum, _, err := convergecast.Sum(eng, f, values, opts.Convergecast)
+	covsum, _, err := convergecast.Sum(eng, f, values)
 	if err != nil {
 		return nil, err
 	}
-	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f, opts.Convergecast)
+	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +174,7 @@ func Ave(eng *sim.Engine, values []float64, opts Options) (*Result, error) {
 	for r, sc := range covsum {
 		keys[r] = float64(int(sc.Count))*(1<<24) + float64(r)
 	}
-	kres, err := gossip.Max(eng, f, rootTo, keys, opts.Gossip)
+	kres, err := gossip.Max(eng, f, rootTo, keys)
 	if err != nil {
 		return nil, err
 	}
@@ -208,15 +188,15 @@ func Ave(eng *sim.Engine, values []float64, opts Options) (*Result, error) {
 	if !f.IsRoot(z) {
 		return nil, fmt.Errorf("pietro: elected node %d is not a root", z)
 	}
-	ares, err := gossip.Ave(eng, f, rootTo, covsum, gossip.AveOptions{Rounds: opts.AveRounds, TrackRoot: -1})
+	ares, err := gossip.Ave(eng, f, rootTo, covsum, gossip.AveOptions{TrackRoot: -1})
 	if err != nil {
 		return nil, err
 	}
-	sres, err := gossip.Spread(eng, f, rootTo, z, ares.Estimates[z], opts.Gossip)
+	sres, err := gossip.Spread(eng, f, rootTo, z, ares.Estimates[z])
 	if err != nil {
 		return nil, err
 	}
-	perNode, _, err := convergecast.BroadcastValue(eng, f, sres.Estimates, opts.Convergecast)
+	perNode, _, err := convergecast.BroadcastValue(eng, f, sres.Estimates)
 	if err != nil {
 		return nil, err
 	}

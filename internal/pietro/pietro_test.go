@@ -11,7 +11,7 @@ import (
 func TestBootstrapBuildsStars(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 121})
-	f, stats, err := Bootstrap(eng, Options{})
+	f, stats, err := Bootstrap(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestBootstrapCostIsNLogN(t *testing.T) {
 	// expected probes per non-head are 1/p = log n.
 	n := 8192
 	eng := sim.NewEngine(n, sim.Options{Seed: 122})
-	_, stats, err := Bootstrap(eng, Options{})
+	_, stats, err := Bootstrap(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestBootstrapCostIsNLogN(t *testing.T) {
 func TestHeadCountNearNOverLogN(t *testing.T) {
 	n := 8192
 	eng := sim.NewEngine(n, sim.Options{Seed: 123})
-	f, _, err := Bootstrap(eng, Options{})
+	f, _, err := Bootstrap(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestMaxEndToEnd(t *testing.T) {
 	n := 1024
 	eng := sim.NewEngine(n, sim.Options{Seed: 124})
 	values := agg.GenUniform(n, -50, 50, 1)
-	res, err := Max(eng, values, Options{})
+	res, err := Max(eng, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestAveEndToEnd(t *testing.T) {
 	n := 1024
 	eng := sim.NewEngine(n, sim.Options{Seed: 125})
 	values := agg.GenUniform(n, 0, 100, 2)
-	res, err := Ave(eng, values, Options{})
+	res, err := Ave(eng, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestUnderLossAndCrashes(t *testing.T) {
 	n := 1024
 	eng := sim.NewEngine(n, sim.Options{Seed: 126, Loss: 0.1, CrashFrac: 0.1})
 	values := agg.GenUniform(n, 0, 1000, 3)
-	res, err := Max(eng, values, Options{})
+	res, err := Max(eng, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestBootstrapShareGrows(t *testing.T) {
 	share := func(n int) float64 {
 		eng := sim.NewEngine(n, sim.Options{Seed: 127})
 		values := agg.GenUniform(n, 0, 1, 4)
-		res, err := Max(eng, values, Options{})
+		res, err := Max(eng, values)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestBootstrapShareGrows(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	eng := sim.NewEngine(16, sim.Options{Seed: 128})
-	if _, err := Max(eng, make([]float64, 3), Options{}); err == nil {
+	if _, err := Max(eng, make([]float64, 3)); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 }
@@ -140,7 +140,7 @@ func BenchmarkPietroMax(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine(n, sim.Options{Seed: uint64(i)})
-		if _, err := Max(eng, values, Options{}); err != nil {
+		if _, err := Max(eng, values); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -984,14 +984,6 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 // count over the same surviving population and the bucket differences
 // stay consistent.
 func (nw *Network) histogram(ctx context.Context, values, edges []float64) (*Answer, error) {
-	if len(edges) == 0 {
-		return nil, fmt.Errorf("%w: Histogram needs at least one edge", ErrBadConfig)
-	}
-	for i := 1; i < len(edges); i++ {
-		if edges[i] <= edges[i-1] {
-			return nil, fmt.Errorf("%w: histogram edges must be strictly increasing", ErrBadConfig)
-		}
-	}
 	if err := nw.cfg.checkValues(values); err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ package drrgossip
 
 import (
 	"fmt"
+	"math"
 
 	"drrgossip/internal/agg"
 )
@@ -115,13 +116,32 @@ func HistogramOf(values []float64, edges []float64) Query {
 
 // validate rejects structurally invalid queries up front — before any
 // protocol run and before RunAll's concurrent path resolves fault
-// bindings for the batch. The φ check is deliberately written as a
-// negated in-range test so NaN (for which every comparison is false)
-// is rejected too; it used to slip through the bisection loop's
-// `phi <= 0 || phi > 1` guard and surface as a silently wrong answer.
+// bindings for the batch. Every check must also reject NaN, for which
+// every comparison is false: the φ and edge-order checks are therefore
+// written as negated in-range tests (a NaN φ or edge otherwise yields a
+// silently wrong answer, such as a negative bucket count).
 func (q Query) validate() error {
-	if q.Op == OpQuantile && !(q.Arg > 0 && q.Arg <= 1) {
-		return fmt.Errorf("%w: Quantile phi must be in (0,1], got %v", ErrBadConfig, q.Arg)
+	switch q.Op {
+	case OpQuantile:
+		if !(q.Arg > 0 && q.Arg <= 1) {
+			return fmt.Errorf("%w: Quantile phi must be in (0,1], got %v", ErrBadConfig, q.Arg)
+		}
+	case OpRank:
+		if math.IsNaN(q.Arg) {
+			return fmt.Errorf("%w: Rank threshold is NaN", ErrBadConfig)
+		}
+	case OpHistogram:
+		if len(q.Edges) == 0 {
+			return fmt.Errorf("%w: Histogram needs at least one edge", ErrBadConfig)
+		}
+		for i, e := range q.Edges {
+			if math.IsNaN(e) {
+				return fmt.Errorf("%w: histogram edge %d is NaN", ErrBadConfig, i)
+			}
+			if i > 0 && !(e > q.Edges[i-1]) {
+				return fmt.Errorf("%w: histogram edges must be strictly increasing", ErrBadConfig)
+			}
+		}
 	}
 	return nil
 }
