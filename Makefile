@@ -28,12 +28,15 @@ fmt-check:
 
 # Documentation gate: every exported identifier in the root package,
 # internal/overlay, the DRR-gossip pipelines and their phases, the
-# baselines and the async subsystem must carry a doc comment (see
-# cmd/godoclint).
+# baselines, the async subsystem, the engine and its substrate (sim,
+# telemetry, forest, graph, chord, xrand, bitset) and the fault and
+# chaos harnesses must carry a doc comment (see cmd/godoclint).
 doc-check:
 	$(GO) run ./cmd/godoclint . ./internal/overlay ./internal/drrgossip ./internal/async ./internal/pairwise \
 		./internal/convergecast ./internal/gossip ./internal/drr ./internal/localdrr ./internal/kashyap \
-		./internal/pietro ./internal/karp ./internal/drrapps ./internal/oblivious ./internal/hms
+		./internal/pietro ./internal/karp ./internal/drrapps ./internal/oblivious ./internal/hms \
+		./internal/sim ./internal/telemetry ./internal/forest ./internal/graph ./internal/chord \
+		./internal/kempe ./internal/xrand ./internal/bitset ./internal/faults ./internal/chaos
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...

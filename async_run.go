@@ -145,6 +145,9 @@ func (nw *Network) execAsyncOnce(b *faults.Bound, values []float64) (*Answer, er
 			Drops:    res.Stats.Drops,
 			Clock:    res.Clock,
 		},
+		// An async run is a single pairwise phase, billed whole.
+		PhaseCosts: []PhaseCost{{Phase: pairwise.Phase, Rounds: res.Events,
+			Messages: res.Stats.Messages, Drops: res.Stats.Drops, Calls: res.Stats.Calls}},
 		Exchanges: res.Exchanges,
 		Alive:     eng.NumAlive(),
 	}

@@ -612,7 +612,7 @@ func BenchmarkFacadeAverage(b *testing.B) {
 
 func BenchmarkExtMoments(b *testing.B) {
 	values := benchValues(benchN)
-	var r *core.MomentsResult
+	var r *core.Result
 	for i := 0; i < b.N; i++ {
 		var err error
 		r, err = core.Moments(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), values)

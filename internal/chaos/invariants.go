@@ -19,7 +19,8 @@
 // population, and agree with an independently-run Rank; answers are
 // bit-identical under replay and across RunAll worker counts; the async
 // engine's partial means stay in the convex hull; and the Quality block
-// obeys its contract (never NaN, Partial ⇔ an abort reason).
+// obeys its contract (never NaN, Partial ⇔ an abort reason). On Complete
+// cases a Moments run after the battery obeys checkMoments.
 
 package chaos
 
@@ -52,6 +53,7 @@ type Violation struct {
 	Detail string
 }
 
+// String renders the violation as "invariant: detail".
 func (v Violation) String() string { return v.Invariant + ": " + v.Detail }
 
 // tier classifies how much the case's plan may legitimately degrade
@@ -175,6 +177,9 @@ func CheckCase(c Case) []Violation {
 		answers[i] = ans
 		checkQuality(c, q.Op.String(), ans, fail)
 	}
+	if c.Topology == drrgossip.Complete {
+		checkMoments(c, nw, b, answers[qAverage], fail)
+	}
 	checkSyncValues(c, b, answers, fail)
 	checkHistogramConsistency(b, answers, fail)
 	checkQuantileMethods(c, b, answers, fail)
@@ -205,6 +210,29 @@ func checkQuality(c Case, op string, ans *drrgossip.Answer, fail func(string, st
 	}
 	if math.IsNaN(q.Residual) {
 		fail("quality", "%s: Residual is NaN", op)
+	}
+}
+
+// checkMoments runs Moments on the battery's session (sparse topologies
+// reject it): mean and deviation are finite, the variance is negative by
+// at most rounding (Σv and Σv² travel in the same share), and without a
+// fault plan the mean is the battery's Average to the bit.
+func checkMoments(c Case, nw *drrgossip.Network, b *battery, ave *drrgossip.Answer, fail func(string, string, ...any)) {
+	ans, err := nw.Run(drrgossip.MomentsOf(b.values))
+	if err != nil {
+		fail("termination", "%s: %v", drrgossip.OpMoments, err)
+		return
+	}
+	checkQuality(c, drrgossip.OpMoments.String(), ans, fail)
+	if math.IsNaN(ans.Mean) || math.IsInf(ans.Mean, 0) || math.IsNaN(ans.Std) || math.IsInf(ans.Std, 0) {
+		fail("finite", "Moments reported mean %v std %v", ans.Mean, ans.Std)
+		return
+	}
+	if ans.Variance < -1e-9*math.Max(1, ans.Mean*ans.Mean) {
+		fail("moments-variance", "Moments variance %v is negative beyond rounding (mean %v)", ans.Variance, ans.Mean)
+	}
+	if c.Plan.Empty() && math.Float64bits(ans.Mean) != math.Float64bits(ave.Value) {
+		fail("moments-mean", "Moments mean %v differs from Average %v without a fault plan", ans.Mean, ave.Value)
 	}
 }
 

@@ -25,9 +25,11 @@ import (
 // retransmissions (overall failure odds ~ n·(2δ)^60).
 const extraRounds = 60
 
-// SumCount is the (value-sum, size-count) vector of Algorithm 3.
+// SumCount is the (value-sum, size-count) vector of Algorithm 3, plus
+// the sum of squared values Moments adds (Sum leaves Sum2 zero).
 type SumCount struct {
 	Sum   float64
+	Sum2  float64
 	Count float64
 }
 
@@ -192,36 +194,24 @@ func addPayloads(acc, in sim.Payload) sim.Payload {
 // Sum runs Convergecast-sum (Algorithm 3): each root learns its tree's
 // (Σ values, tree size) vector.
 func Sum(eng *sim.Engine, f *forest.Forest, values []float64) (map[int]SumCount, sim.Counters, error) {
-	res, stats, err := up(eng, f, valueInit(f, values, true, false), addPayloads)
+	return sumUp(eng, f, valueInit(f, values, true, false))
+}
+
+// Moments is Convergecast-sum with Σ values² as a third component — the
+// "suitable modification" extending Algorithm 3 to second moments within
+// the same bounded message size.
+func Moments(eng *sim.Engine, f *forest.Forest, values []float64) (map[int]SumCount, sim.Counters, error) {
+	return sumUp(eng, f, valueInit(f, values, true, true))
+}
+
+func sumUp(eng *sim.Engine, f *forest.Forest, init []sim.Payload) (map[int]SumCount, sim.Counters, error) {
+	res, stats, err := up(eng, f, init, addPayloads)
 	if err != nil {
 		return nil, stats, err
 	}
 	out := make(map[int]SumCount, len(res))
 	for r, p := range res {
-		out[r] = SumCount{Sum: p.A, Count: p.C}
-	}
-	return out, stats, nil
-}
-
-// MomentsVec is the per-tree (Σv, Σv², size) vector used to compute mean
-// and variance in a single pass — the "suitable modification" extending
-// Algorithm 3 to second moments within the same bounded message size.
-type MomentsVec struct {
-	Sum   float64
-	Sum2  float64
-	Count float64
-}
-
-// Moments runs a three-component convergecast: each root learns its
-// tree's (Σ values, Σ values², tree size).
-func Moments(eng *sim.Engine, f *forest.Forest, values []float64) (map[int]MomentsVec, sim.Counters, error) {
-	res, stats, err := up(eng, f, valueInit(f, values, true, true), addPayloads)
-	if err != nil {
-		return nil, stats, err
-	}
-	out := make(map[int]MomentsVec, len(res))
-	for r, p := range res {
-		out[r] = MomentsVec{Sum: p.A, Sum2: p.B, Count: p.C}
+		out[r] = SumCount{Sum: p.A, Sum2: p.B, Count: p.C}
 	}
 	return out, stats, nil
 }

@@ -1,7 +1,7 @@
 // Package drrgossip composes the three phases of the paper into the
 // complete DRR-gossip algorithms: DRR-gossip-max (Algorithm 7),
 // DRR-gossip-ave (Algorithm 8) and the derived aggregates (Min, Sum,
-// Count, Rank) obtained by the paper's "suitable modifications".
+// Count, Rank, Moments) obtained by the paper's "suitable modifications".
 //
 // Every pipeline runs on the complete graph (a nil overlay) or on any
 // overlay.Overlay. The three phases are the same on both; only the
@@ -71,7 +71,11 @@ type Result struct {
 	Value float64
 	// PerNode is every node's final value (NaN for crashed nodes).
 	PerNode []float64
-	// Consensus reports whether all alive nodes ended with the same value.
+	// Variance is the population variance E[v²] − E[v]² of a Moments
+	// run, disseminated like Value (zero for the other aggregates).
+	Variance float64
+	// Consensus reports whether all alive nodes ended with the same value
+	// (and, for Moments, the same variance).
 	Consensus bool
 	Forest    *forest.Forest
 	Phases    PhaseStats
@@ -111,10 +115,11 @@ type transport interface {
 	// root-address broadcast, in the transport's order. The order is
 	// observable: per-message loss is hashed on the send sequence.
 	aggregate(eng *sim.Engine, f *forest.Forest, converge func() error) error
-	// gossipMax, gossipAve and spread run Phase III among the roots and
-	// return every root's estimate.
+	// gossipMax, gossipAve and spread run Phase III among the roots.
+	// gossipMax and spread return every root's estimate, gossipAve the
+	// push-sum outcome (Estimates, S, G; S2 on the dense transport only).
 	gossipMax(eng *sim.Engine, f *forest.Forest, init map[int]float64) (map[int]float64, error)
-	gossipAve(eng *sim.Engine, f *forest.Forest, init map[int]convergecast.SumCount, reliable bool) (map[int]float64, error)
+	gossipAve(eng *sim.Engine, f *forest.Forest, init map[int]convergecast.SumCount, reliable bool) (*gossip.AveResult, error)
 	spread(eng *sim.Engine, f *forest.Forest, z int, value float64) (map[int]float64, error)
 }
 
@@ -147,12 +152,8 @@ func (d *dense) gossipMax(eng *sim.Engine, f *forest.Forest, init map[int]float6
 	return res.Estimates, nil
 }
 
-func (d *dense) gossipAve(eng *sim.Engine, f *forest.Forest, init map[int]convergecast.SumCount, reliable bool) (map[int]float64, error) {
-	res, err := gossip.Ave(eng, f, d.rootTo, init, gossip.AveOptions{TrackRoot: -1, ReliableShares: reliable})
-	if err != nil {
-		return nil, err
-	}
-	return res.Estimates, nil
+func (d *dense) gossipAve(eng *sim.Engine, f *forest.Forest, init map[int]convergecast.SumCount, reliable bool) (*gossip.AveResult, error) {
+	return gossip.Ave(eng, f, d.rootTo, init, gossip.AveOptions{TrackRoot: -1, ReliableShares: reliable})
 }
 
 func (d *dense) spread(eng *sim.Engine, f *forest.Forest, z int, value float64) (map[int]float64, error) {
@@ -303,6 +304,14 @@ func Count(eng *sim.Engine, ov overlay.Overlay, values []float64) (*Result, erro
 	return avePipeline(eng, ov, values, pushCount)
 }
 
+// Moments computes the global mean (Value) and population variance in
+// one DRR-gossip-ave run with the pair (s, g) widened to (s, s2, g); the
+// variance is spread and broadcast after the mean. It runs on the
+// complete graph only: routed shares carry no Σv².
+func Moments(eng *sim.Engine, values []float64) (*Result, error) {
+	return avePipeline(eng, nil, values, pushMoments)
+}
+
 // Rank computes Rank(q) = |{i alive : v_i <= q}| by summing indicator
 // values (the paper's Rank reduction).
 func Rank(eng *sim.Engine, ov overlay.Overlay, values []float64, q float64) (*Result, error) {
@@ -317,6 +326,7 @@ const (
 	pushAve pushMode = iota
 	pushSum
 	pushCount
+	pushMoments
 )
 
 // electRoot resolves the distinguished root from the won election key.
@@ -348,33 +358,33 @@ func electRoot(eng *sim.Engine, f *forest.Forest, maxKey float64, keys map[int]f
 func buildInit(mode pushMode, covsum map[int]convergecast.SumCount, z int) map[int]convergecast.SumCount {
 	init := make(map[int]convergecast.SumCount, len(covsum))
 	for r, sc := range covsum {
+		g := 0.0
+		if r == z {
+			g = 1
+		}
 		switch mode {
-		case pushAve:
-			// (tree sum, tree size): ratios converge to Σsums/Σsizes.
-			init[r] = sc
 		case pushSum:
 			// (tree sum, [r==z]): ratios converge to Σsums/1.
-			g := 0.0
-			if r == z {
-				g = 1
-			}
-			init[r] = convergecast.SumCount{Sum: sc.Sum, Count: g}
+			sc = convergecast.SumCount{Sum: sc.Sum, Count: g}
 		case pushCount:
 			// (tree size, [r==z]): ratios converge to Σsizes/1 = n_alive.
-			g := 0.0
-			if r == z {
-				g = 1
-			}
-			init[r] = convergecast.SumCount{Sum: sc.Count, Count: g}
+			sc = convergecast.SumCount{Sum: sc.Count, Count: g}
 		}
+		// pushAve and pushMoments keep (tree sum[, sum2], tree size):
+		// ratios converge to Σsums/Σsizes (and Σsum2s/Σsizes).
+		init[r] = sc
 	}
 	return init
 }
 
 func avePipeline(eng *sim.Engine, ov overlay.Overlay, values []float64, mode pushMode) (*Result, error) {
+	converge := convergecast.Sum
+	if mode == pushMoments {
+		converge = convergecast.Moments
+	}
 	var covsum map[int]convergecast.SumCount
 	t, f, m, err := begin(eng, ov, values, func(f *forest.Forest) (err error) {
-		covsum, _, err = convergecast.Sum(eng, f, values)
+		covsum, _, err = converge(eng, f, values)
 		return err
 	})
 	if err != nil {
@@ -410,7 +420,7 @@ func avePipeline(eng *sim.Engine, ov overlay.Overlay, values []float64, mode pus
 	// Sum and Count run with reliable (acknowledged) shares: their
 	// distinguished-root denominator is a single unit of mass whose loss
 	// cannot be averaged away, unlike the Ave ratio where losses cancel.
-	est, err := t.gossipAve(eng, f, buildInit(mode, covsum, z), mode != pushAve)
+	ave, err := t.gossipAve(eng, f, buildInit(mode, covsum, z), mode == pushSum || mode == pushCount)
 	if err != nil {
 		return nil, err
 	}
@@ -418,10 +428,18 @@ func avePipeline(eng *sim.Engine, ov overlay.Overlay, values []float64, mode pus
 	// Phase III(c): Data-spread of z's estimate to all roots. Under
 	// mid-run crashes z's estimate can be NaN (or z freshly dead); the
 	// spread then carries the best surviving estimate instead.
-	value := bestEffortValue(eng, f, est[z], est)
+	value := bestEffortValue(eng, f, ave.Estimates[z], ave.Estimates)
 	sest, err := t.spread(eng, f, z, value)
 	if err != nil {
 		return nil, err
+	}
+	var variance float64
+	var svar map[int]float64
+	if mode == pushMoments {
+		variance = ave.S2[z]/ave.G[z] - value*value
+		if svar, err = t.spread(eng, f, z, variance); err != nil {
+			return nil, err
+		}
 	}
 
 	// Final dissemination down the trees.
@@ -430,28 +448,41 @@ func avePipeline(eng *sim.Engine, ov overlay.Overlay, values []float64, mode pus
 	if err != nil {
 		return nil, err
 	}
-	return finish(eng, f, value, perNode, m.phases()), nil
+	var perVar []float64
+	if svar != nil {
+		if perVar, _, err = convergecast.BroadcastValue(eng, f, svar); err != nil {
+			return nil, err
+		}
+	}
+	res := finish(eng, f, value, perNode, m.phases())
+	if perVar != nil {
+		res.Variance = variance
+		res.Consensus = res.Consensus && agreed(eng, f, variance, perVar)
+	}
+	return res, nil
 }
 
-func finish(eng *sim.Engine, f *forest.Forest, value float64, perNode []float64, ph PhaseStats) *Result {
-	// Consensus ranges over the nodes still alive at the end of the run:
-	// a node that crashed mid-protocol no longer holds (or needs) the
-	// answer. In the static model every member is alive, so this is the
-	// original all-members check.
-	consensus := true
+// agreed reports whether every node still alive at the end of the run
+// holds value: a node that crashed mid-protocol no longer holds (or
+// needs) the answer. In the static model every member is alive, so this
+// is the original all-members check.
+func agreed(eng *sim.Engine, f *forest.Forest, value float64, perNode []float64) bool {
 	for i, v := range perNode {
 		if !f.Member(i) || !eng.Alive(i) {
 			continue
 		}
 		if v != value || math.IsNaN(v) {
-			consensus = false
-			break
+			return false
 		}
 	}
+	return true
+}
+
+func finish(eng *sim.Engine, f *forest.Forest, value float64, perNode []float64, ph PhaseStats) *Result {
 	return &Result{
 		Value:     value,
 		PerNode:   perNode,
-		Consensus: consensus,
+		Consensus: agreed(eng, f, value, perNode),
 		Forest:    f,
 		Phases:    ph,
 		Stats:     ph.Total(),

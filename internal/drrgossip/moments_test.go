@@ -27,14 +27,14 @@ func TestMomentsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantMean, wantVar := exactMoments(values)
-	if agg.RelError(res.Mean, wantMean) > 1e-6 {
-		t.Fatalf("Mean = %v, want %v", res.Mean, wantMean)
+	if agg.RelError(res.Value, wantMean) > 1e-6 {
+		t.Fatalf("Mean = %v, want %v", res.Value, wantMean)
 	}
 	if agg.RelError(res.Variance, wantVar) > 1e-6 {
 		t.Fatalf("Variance = %v, want %v", res.Variance, wantVar)
 	}
-	if math.Abs(res.Std-math.Sqrt(wantVar)) > 1e-3 {
-		t.Fatalf("Std = %v", res.Std)
+	if math.Abs(math.Sqrt(math.Max(res.Variance, 0))-math.Sqrt(wantVar)) > 1e-3 {
+		t.Fatalf("Std = %v", math.Sqrt(math.Max(res.Variance, 0)))
 	}
 	if !res.Consensus {
 		t.Fatal("no consensus")
@@ -52,8 +52,8 @@ func TestMomentsConstantValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agg.RelError(res.Mean, 7.5) > 1e-9 {
-		t.Fatalf("Mean = %v", res.Mean)
+	if agg.RelError(res.Value, 7.5) > 1e-9 {
+		t.Fatalf("Mean = %v", res.Value)
 	}
 	// Variance of constants is 0; allow tiny float cancellation noise.
 	if math.Abs(res.Variance) > 1e-6 {
@@ -71,8 +71,8 @@ func TestMomentsUnderLossAndCrashes(t *testing.T) {
 	}
 	alive := agg.Subset(values, eng.AliveIDs())
 	wantMean, wantVar := exactMoments(alive)
-	if agg.RelError(res.Mean, wantMean) > 0.05 {
-		t.Fatalf("Mean = %v, want %v", res.Mean, wantMean)
+	if agg.RelError(res.Value, wantMean) > 0.05 {
+		t.Fatalf("Mean = %v, want %v", res.Value, wantMean)
 	}
 	if agg.RelError(res.Variance, wantVar) > 0.1 {
 		t.Fatalf("Variance = %v, want %v", res.Variance, wantVar)
@@ -80,12 +80,12 @@ func TestMomentsUnderLossAndCrashes(t *testing.T) {
 	if !res.Consensus {
 		t.Fatal("no consensus")
 	}
-	for i, v := range res.PerNodeMean {
+	for i, v := range res.PerNode {
 		if !res.Consensus {
 			break
 		}
-		if eng.Alive(i) && v != res.Mean {
-			t.Fatalf("node %d mean %v != consensus %v", i, v, res.Mean)
+		if eng.Alive(i) && v != res.Value {
+			t.Fatalf("node %d mean %v != consensus %v", i, v, res.Value)
 		}
 	}
 }
@@ -99,8 +99,8 @@ func TestMomentsSignedValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantMean, wantVar := exactMoments(values)
-	if math.Abs(res.Mean-wantMean) > 1e-6 {
-		t.Fatalf("Mean = %v, want %v", res.Mean, wantMean)
+	if math.Abs(res.Value-wantMean) > 1e-6 {
+		t.Fatalf("Mean = %v, want %v", res.Value, wantMean)
 	}
 	if agg.RelError(res.Variance, wantVar) > 1e-6 {
 		t.Fatalf("Variance = %v, want %v", res.Variance, wantVar)

@@ -206,7 +206,8 @@ func (rt routed) gossipMax(eng *sim.Engine, f *forest.Forest, init map[int]float
 // restored to the sender when undeliverable, so no push-sum mass is ever
 // destroyed — required by the distinguished-root Sum/Count variants,
 // whose denominator is a single unit of mass (see gossip.AveOptions).
-func (rt routed) gossipAve(eng *sim.Engine, f *forest.Forest, init map[int]convergecast.SumCount, reliable bool) (map[int]float64, error) {
+// Shares carry (s, g) only: the routed transport has no Σv² component.
+func (rt routed) gossipAve(eng *sim.Engine, f *forest.Forest, init map[int]convergecast.SumCount, reliable bool) (*gossip.AveResult, error) {
 	roots := f.Roots()
 	s := make(map[int]float64, len(roots))
 	g := make(map[int]float64, len(roots))
@@ -281,13 +282,5 @@ func (rt routed) gossipAve(eng *sim.Engine, f *forest.Forest, init map[int]conve
 			}
 		}
 	}
-	est := make(map[int]float64, len(roots))
-	for _, r := range roots {
-		if g[r] != 0 {
-			est[r] = s[r] / g[r]
-		} else {
-			est[r] = math.NaN()
-		}
-	}
-	return est, nil
+	return &gossip.AveResult{Estimates: gossip.Ratios(roots, s, g), S: s, G: g}, nil
 }

@@ -294,8 +294,10 @@ func (b *Bound) Clone() *Bound {
 // Fired returns the number of actions applied so far.
 func (b *Bound) Fired() int { return b.fired }
 
-// Crashed and Revived count node state transitions applied so far.
+// Crashed counts the crash transitions applied so far.
 func (b *Bound) Crashed() int { return b.crashed }
+
+// Revived counts the revive transitions applied so far.
 func (b *Bound) Revived() int { return b.revived }
 
 // Rounds returns the sorted rounds at which the schedule acts (useful

@@ -66,6 +66,7 @@ var kindNames = map[Kind]string{
 	Partition: "part", LinkDown: "link", Flaky: "flaky", ChurnKind: "churn",
 }
 
+// String returns the kind's plan-grammar keyword.
 func (k Kind) String() string {
 	if s, ok := kindNames[k]; ok {
 		return s
@@ -106,6 +107,8 @@ func (t Timing) resolve(horizon int) int {
 	return r
 }
 
+// String renders the timing as the plan grammar writes it: "<n>r" for
+// a round, a horizon fraction otherwise.
 func (t Timing) String() string {
 	if t.Round > 0 || t.Frac == 0 {
 		return fmt.Sprintf("%dr", t.Round)

@@ -1,6 +1,7 @@
 // Package gossip implements Phase III of DRR-gossip: the root-level
 // gossip algorithms of the paper — Gossip-max (Algorithm 4), Data-spread
-// (Algorithm 5) and Gossip-ave (Algorithm 6, a push-sum variant).
+// (Algorithm 5) and Gossip-ave (Algorithm 6, a push-sum variant, which
+// also carries Σv² for mean and variance).
 //
 // All three run on the virtual clique G̃ = clique(V̂) of tree roots. A root
 // selects a node uniformly at random from all of V and sends it a message;
@@ -57,8 +58,8 @@ func sampleRounds(eng *sim.Engine) int {
 	return lossInflate(ceilLog2(eng.N())+8, eng)
 }
 
-// aveRounds is the push-sum length of Gossip-ave and the moments
-// variant, 4·ceil(log2 n) + 24 iterations — the paper's
+// aveRounds is the push-sum length of Gossip-ave, 4·ceil(log2 n) + 24
+// iterations — the paper's
 // O(log m + log 1/ε) with ε = n^-2 — loss-inflated.
 func aveRounds(eng *sim.Engine) int {
 	return lossInflate(4*ceilLog2(eng.N())+24, eng)
@@ -228,8 +229,9 @@ type AveOptions struct {
 type AveResult struct {
 	// Estimates holds each root's final Ave estimate s/g.
 	Estimates map[int]float64
-	// S and G are the final push-sum components per root.
-	S, G map[int]float64
+	// S and G are the final push-sum components per root; S2 is the Σv²
+	// component, nil unless some init vector carried Sum2.
+	S, G, S2 map[int]float64
 	// Trajectory is the estimate of TrackRoot after each round.
 	Trajectory []float64
 	// Potential is Φ_t after each round when TrackPotential is set.
@@ -242,6 +244,9 @@ type AveResult struct {
 // round it keeps half and pushes half to a random node's root. The ratio
 // s/g at the largest-tree root converges to the global average at the
 // rate of Theorem 7.
+// When some init vector carries Sum2 (Σv², from convergecast.Moments),
+// s2 rides in the same shares, so s2/g converges to the mean square. An
+// all-zero component stays zero, so without Sum2 none is tracked.
 func Ave(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]convergecast.SumCount, opts AveOptions) (*AveResult, error) {
 	if err := checkInputs(eng, f, rootTo); err != nil {
 		return nil, err
@@ -250,6 +255,7 @@ func Ave(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]convergec
 	roots := f.Roots()
 	s := make(map[int]float64, len(roots))
 	g := make(map[int]float64, len(roots))
+	var s2 map[int]float64 // nil unless some root carries Sum2
 	for _, r := range roots {
 		sc, ok := init[r]
 		if !ok {
@@ -257,6 +263,12 @@ func Ave(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]convergec
 		}
 		s[r] = sc.Sum
 		g[r] = sc.Count
+		if sc.Sum2 != 0 {
+			if s2 == nil {
+				s2 = make(map[int]float64, len(roots))
+			}
+			s2[r] = sc.Sum2
+		}
 	}
 	rounds := aveRounds(eng)
 
@@ -306,13 +318,13 @@ func Ave(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]convergec
 		var shipped []shipment
 		type inflight struct {
 			r, dst int
-			s, g   float64
+			lost   bool // every retry failed
 		}
 		var reliableSent []inflight
 		for _, r := range roots {
 			if !eng.Alive(r) {
-				// A crashed root pushes nothing: its (s, g) mass freezes
-				// in place instead of being silently halved away.
+				// A crashed root pushes nothing: its mass freezes in
+				// place instead of being silently halved away.
 				continue
 			}
 			relay, dst := relayTarget(eng, rootTo, r)
@@ -333,7 +345,10 @@ func Ave(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]convergec
 			}
 			s[r] /= 2
 			g[r] /= 2
-			pay := sim.Payload{Kind: kindAveShare, A: s[r], B: g[r], X: int64(r)}
+			if s2 != nil {
+				s2[r] /= 2
+			}
+			pay := sim.Payload{Kind: kindAveShare, A: s[r], B: g[r], C: s2[r], X: int64(r)}
 			before := eng.Stats().Drops
 			eng.SendVia(r, relay, dst, pay)
 			delivered := eng.Stats().Drops == before
@@ -343,18 +358,11 @@ func Ave(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]convergec
 					eng.SendVia(r, relay, dst, pay)
 					delivered = eng.Stats().Drops == before
 				}
-				if !delivered {
-					// Every retry failed: restore the share; no mass
-					// leaves the system.
-					s[r] *= 2
-					g[r] *= 2
-				} else {
-					// Track the delivery: if dst crashes before the next
-					// Tick the engine discards the message, and the
-					// sender's ack times out — it restores the share
-					// (mid-run crashes only; a no-op in the static model).
-					reliableSent = append(reliableSent, inflight{r: r, dst: dst, s: pay.A, g: pay.B})
-				}
+				// Track the share until its ack: if every retry failed,
+				// or dst crashes before the next Tick (the engine then
+				// discards the message; mid-run crashes only), the
+				// sender takes it back, so no mass leaves the system.
+				reliableSent = append(reliableSent, inflight{r: r, dst: dst, lost: !delivered})
 			}
 			if opts.TrackPotential {
 				// Mirror the halving in the contribution vectors and
@@ -379,11 +387,15 @@ func Ave(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]convergec
 		}
 		eng.Tick()
 		for _, sh := range reliableSent {
-			if !eng.Alive(sh.dst) {
-				// Ack timeout: the destination died before delivery and
-				// the engine discarded the share; put it back.
-				s[sh.r] += sh.s
-				g[sh.r] += sh.g
+			if sh.lost || !eng.Alive(sh.dst) {
+				// Ack timeout: put the share back. Until the inbox pass
+				// below the sender still holds exactly the half it
+				// shipped, so doubling restores it.
+				s[sh.r] *= 2
+				g[sh.r] *= 2
+				if s2 != nil {
+					s2[sh.r] *= 2
+				}
 			}
 		}
 		for _, r := range roots {
@@ -391,6 +403,9 @@ func Ave(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]convergec
 				if m.Pay.Kind == kindAveShare {
 					s[r] += m.Pay.A
 					g[r] += m.Pay.B
+					if s2 != nil {
+						s2[r] += m.Pay.C
+					}
 				}
 			}
 		}
@@ -415,22 +430,29 @@ func Ave(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]convergec
 		}
 	}
 
-	est := make(map[int]float64, len(roots))
-	for _, r := range roots {
-		if g[r] != 0 {
-			est[r] = s[r] / g[r]
-		} else {
-			est[r] = math.NaN()
-		}
-	}
 	return &AveResult{
-		Estimates:  est,
+		Estimates:  Ratios(roots, s, g),
 		S:          s,
 		G:          g,
+		S2:         s2,
 		Trajectory: trajectory,
 		Potential:  potentials,
 		Stats:      eng.Stats().Sub(start),
 	}, nil
+}
+
+// Ratios is each root's push-sum estimate num/g, NaN where no weight
+// ever arrived. The sparse pipeline reads its estimates the same way.
+func Ratios(roots []int, num, g map[int]float64) map[int]float64 {
+	est := make(map[int]float64, len(roots))
+	for _, r := range roots {
+		if g[r] != 0 {
+			est[r] = num[r] / g[r]
+		} else {
+			est[r] = math.NaN()
+		}
+	}
+	return est
 }
 
 // EstimateSpread is the convergence residual the gossip drivers report

@@ -364,7 +364,7 @@ func TestMomentsTriplePushSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Moments(eng, f, rootTo, cov, AveOptions{TrackRoot: -1})
+	res, err := Ave(eng, f, rootTo, cov, AveOptions{TrackRoot: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,11 +375,11 @@ func TestMomentsTriplePushSum(t *testing.T) {
 		wantM2 += v * v
 	}
 	wantM2 /= float64(n)
-	if agg.RelError(res.Mean[z], wantMean) > 1e-6 {
-		t.Fatalf("mean at z = %v, want %v", res.Mean[z], wantMean)
+	if agg.RelError(res.Estimates[z], wantMean) > 1e-6 {
+		t.Fatalf("mean at z = %v, want %v", res.Estimates[z], wantMean)
 	}
-	if agg.RelError(res.M2[z], wantM2) > 1e-6 {
-		t.Fatalf("m2 at z = %v, want %v", res.M2[z], wantM2)
+	if agg.RelError(res.S2[z]/res.G[z], wantM2) > 1e-6 {
+		t.Fatalf("m2 at z = %v, want %v", res.S2[z]/res.G[z], wantM2)
 	}
 }
 
@@ -400,14 +400,14 @@ func TestMomentsReliableSharesUnderLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Moments(eng, f, rootTo, cov, AveOptions{TrackRoot: -1, ReliableShares: true})
+	res, err := Ave(eng, f, rootTo, cov, AveOptions{TrackRoot: -1, ReliableShares: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	z := f.LargestRoot()
 	wantMean := agg.Exact(agg.Average, values, 0)
-	if agg.RelError(res.Mean[z], wantMean) > 1e-3 {
-		t.Fatalf("mean at z = %v, want %v under loss", res.Mean[z], wantMean)
+	if agg.RelError(res.Estimates[z], wantMean) > 1e-3 {
+		t.Fatalf("mean at z = %v, want %v under loss", res.Estimates[z], wantMean)
 	}
 }
 
@@ -423,7 +423,7 @@ func TestMomentsMissingInit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Moments(eng, f, rootTo, map[int]convergecast.MomentsVec{}, AveOptions{TrackRoot: -1}); err == nil {
+	if _, err := Ave(eng, f, rootTo, map[int]convergecast.SumCount{}, AveOptions{TrackRoot: -1}); err == nil {
 		t.Fatal("missing init accepted")
 	}
 }

@@ -410,6 +410,7 @@ func (nw *Network) workerSession() *Network {
 // drivers turn it into Answers.
 type runResult struct {
 	value      float64
+	variance   float64 // OpMoments only
 	perNode    []float64
 	consensus  bool
 	cost       Cost // Runs is 1
@@ -418,8 +419,6 @@ type runResult struct {
 	// alive and the fault counters describe the end of the run.
 	alive                                   int
 	faultEvents, faultCrashes, faultRevives int
-	// mom is the full moments result of an OpMoments run (nil otherwise).
-	mom *core.MomentsResult
 }
 
 // runCost bills one run's engine counters as a single-run Cost.
@@ -431,6 +430,7 @@ func runCost(st sim.Counters) Cost {
 func coreRun(r *core.Result) *runResult {
 	return &runResult{
 		value:      r.Value,
+		variance:   r.Variance,
 		perNode:    r.PerNode,
 		consensus:  r.Consensus,
 		cost:       runCost(r.Stats),
@@ -457,18 +457,7 @@ func dispatch(op Op, values []float64, arg float64) protoFunc {
 			if ov != nil {
 				return nil, errMomentsTopology(ov.Name())
 			}
-			m, err := core.Moments(eng, values)
-			if err != nil {
-				return nil, err
-			}
-			return &runResult{
-				value:      m.Mean,
-				perNode:    m.PerNodeMean,
-				consensus:  m.Consensus,
-				cost:       runCost(m.Stats),
-				phaseCosts: phaseCosts(m.Phases),
-				mom:        m,
-			}, nil
+			r, err = core.Moments(eng, values)
 		case OpMax:
 			r, err = core.Max(eng, ov, values)
 		case OpMin:
@@ -661,11 +650,11 @@ func (nw *Network) notify(run, round int, eng telemetry.EngineView, b *faults.Bo
 }
 
 // errMomentsTopology is the query-validation error for Moments on a
-// sparse overlay. Moments is a single-run, three-component extension of
-// the dense Phase II convergecast (Σv, Σv², count); the Section 4 sparse
-// pipeline has no equivalent single run, so the limitation is reported
-// loudly instead of silently running the wrong (dense) protocol. See
-// README ("Limitations") and docs/PAPER_MAP.md.
+// sparse overlay. Moments is the Ave pipeline with Σv² as a third
+// push-sum component, and only the dense transport carries it; the
+// Section 4 routed transport ships (s, g) pairs, so the limitation is
+// reported loudly instead of silently running the wrong (dense)
+// protocol. See README ("Limitations") and docs/PAPER_MAP.md.
 func errMomentsTopology(topo string) error {
 	return fmt.Errorf("%w: Moments runs only on the Complete topology; topology %q selects the Section 4 sparse pipeline, which has no single-run moments variant — run AverageOf (and derive variance from a second query) or use Topology: Complete; see docs/PAPER_MAP.md", ErrBadConfig, topo)
 }
@@ -739,8 +728,8 @@ func (nw *Network) aggregate(ctx context.Context, q Query) (*Answer, error) {
 	ans := &Answer{Op: q.Op, Value: res.value, Consensus: res.consensus, Trees: res.trees, Converged: true}
 	ans.bill(res)
 	ans.PerNode, ans.SampleIDs = nw.materializePerNode(res.perNode)
-	if res.mom != nil {
-		ans.Mean, ans.Variance, ans.Std = res.mom.Mean, res.mom.Variance, res.mom.Std
+	if q.Op == OpMoments {
+		ans.Mean, ans.Variance, ans.Std = res.value, res.variance, math.Sqrt(math.Max(res.variance, 0))
 	}
 	nw.fillQuality(ans, noResidual, nil)
 	return ans, nil

@@ -424,6 +424,18 @@ func TestExactOf(t *testing.T) {
 	if _, err := ExactOf(cfg, MaxOf(values[:10])); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("length mismatch accepted: %v", err)
 	}
+	// Configs New rejects are rejected here too, never panicking in the
+	// engine constructor or returning a value for an impossible model.
+	nan := math.NaN()
+	for _, bad := range []Config{
+		{N: 10, Loss: 2}, {N: 10, Loss: nan}, {N: 10, Loss: -1},
+		{N: 10, CrashFraction: 1.5}, {N: 10, CrashFraction: nan}, {N: 10, CrashFraction: -0.5},
+	} {
+		if v, err := ExactOf(bad, AverageOf(make([]float64, 10))); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("ExactOf(Loss %v, CrashFraction %v) = %v, %v; want ErrBadConfig",
+				bad.Loss, bad.CrashFraction, v, err)
+		}
+	}
 	nw, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"math"
 
 	"drrgossip/internal/agg"
+	"drrgossip/internal/sim"
 )
 
 // Op enumerates the aggregate operations a Query can request.
@@ -210,7 +211,7 @@ func (c Cost) Add(o Cost) Cost {
 // facade bills each phase separately instead of only the aggregate.
 type PhaseCost struct {
 	// Phase is the pipeline phase label ("drr", "aggregate", "gossip",
-	// "broadcast").
+	// "broadcast"; "pairwise" for the single phase of an Async run).
 	Phase string
 	// Rounds, Messages, Drops and Calls are the phase's share of the
 	// bill. Summed over a query's PhaseCosts they reproduce Cost.Rounds,
@@ -279,9 +280,10 @@ type Answer struct {
 	// Cost is the query's accumulated protocol bill.
 	Cost Cost
 	// PhaseCosts attributes Cost to the protocol phases in execution
-	// order (drr, aggregate, gossip, broadcast), accumulated across all
-	// of a composite query's runs. The entries sum exactly to
-	// Cost.Rounds, Cost.Messages and Cost.Drops.
+	// order (drr, aggregate, gossip, broadcast; one pairwise entry in
+	// Async mode), accumulated across all of a composite query's runs.
+	// The entries sum exactly to Cost.Rounds, Cost.Messages and
+	// Cost.Drops.
 	PhaseCosts []PhaseCost
 	// Trees is the number of DRR trees built in Phase I (last run).
 	Trees int
@@ -376,15 +378,24 @@ type Quality struct {
 // crash model. It supports every scalar operation (OpMax..OpRank and
 // OpQuantile, for which it returns the exact φ-quantile of the surviving
 // values); OpMoments and OpHistogram have no single reference value and
-// return an error, as do unknown operations and mismatched input.
+// return an error, as do unknown operations, mismatched input and any
+// Config that New would reject.
 func ExactOf(cfg Config, q Query) (float64, error) {
-	if cfg.N < 2 {
-		return 0, fmt.Errorf("%w: N must be >= 2, got %d", ErrBadConfig, cfg.N)
+	if err := cfg.validate(); err != nil {
+		return 0, err
 	}
-	if len(q.Values) != cfg.N {
-		return 0, fmt.Errorf("%w: %d values for N=%d", ErrBadConfig, len(q.Values), cfg.N)
+	if err := cfg.checkValues(q.Values); err != nil {
+		return 0, err
 	}
-	alive := agg.Subset(q.Values, cfg.engine().AliveIDs())
+	crashed := sim.InitialCrashSet(cfg.N, cfg.simOptions()) // ascending ids
+	alive := make([]float64, 0, cfg.N-len(crashed))
+	for i, v := range q.Values {
+		if len(crashed) > 0 && crashed[0] == i {
+			crashed = crashed[1:]
+			continue
+		}
+		alive = append(alive, v)
+	}
 	switch q.Op {
 	case OpMin:
 		return agg.Exact(agg.Min, alive, 0), nil

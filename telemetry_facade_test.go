@@ -67,6 +67,23 @@ func TestPhaseCostsSumToCost(t *testing.T) {
 			}
 		}
 	}
+	// An Async run is a single pairwise phase, billed whole.
+	nw, err := New(Config{N: 256, Seed: 11, Mode: Async})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := nw.Run(AverageOf(uniformValues(256, 7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.PhaseCosts) != 1 || a.PhaseCosts[0].Phase != "pairwise" {
+		t.Fatalf("async PhaseCosts = %+v, want one pairwise entry", a.PhaseCosts)
+	}
+	rounds, messages, drops := sumPhases(a.PhaseCosts)
+	if rounds != a.Cost.Rounds || messages != a.Cost.Messages || drops != a.Cost.Drops || messages == 0 {
+		t.Errorf("async phase sum (%d, %d, %d) != cost (%d, %d, %d)",
+			rounds, messages, drops, a.Cost.Rounds, a.Cost.Messages, a.Cost.Drops)
+	}
 }
 
 // TestPhaseCostsUnderFaults extends the sum pin to a faulted run, where
@@ -335,9 +352,9 @@ func TestQuantileSessionChromeTrace(t *testing.T) {
 	}
 }
 
-// TestMomentsPhaseCosts pins the Moments pipeline's telescoped phase
-// accounting (it reports Phases via counter snapshots rather than the
-// shared pipeline helper).
+// TestMomentsPhaseCosts pins the Moments run's telescoped phase
+// accounting under loss: its extra variance spread and broadcast are
+// billed to the gossip and broadcast phases of the shared Ave pipeline.
 func TestMomentsPhaseCosts(t *testing.T) {
 	nw, err := New(Config{N: 256, Seed: 47, Loss: 0.05})
 	if err != nil {
