@@ -29,14 +29,16 @@ fmt-check:
 # Documentation gate: every exported identifier in the root package,
 # internal/overlay, the DRR-gossip pipelines and their phases, the
 # baselines, the async subsystem, the engine and its substrate (sim,
-# telemetry, forest, graph, chord, xrand, bitset) and the fault and
-# chaos harnesses must carry a doc comment (see cmd/godoclint).
+# telemetry, forest, graph, chord, xrand, bitset), the fault and chaos
+# harnesses, and the evaluation layer (agg, metrics, plot, tablefmt,
+# experiments) must carry a doc comment (see cmd/godoclint).
 doc-check:
 	$(GO) run ./cmd/godoclint . ./internal/overlay ./internal/drrgossip ./internal/async ./internal/pairwise \
 		./internal/convergecast ./internal/gossip ./internal/drr ./internal/localdrr ./internal/kashyap \
 		./internal/pietro ./internal/karp ./internal/drrapps ./internal/oblivious ./internal/hms \
 		./internal/sim ./internal/telemetry ./internal/forest ./internal/graph ./internal/chord \
-		./internal/kempe ./internal/xrand ./internal/bitset ./internal/faults ./internal/chaos
+		./internal/kempe ./internal/xrand ./internal/bitset ./internal/faults ./internal/chaos \
+		./internal/agg ./internal/metrics ./internal/plot ./internal/tablefmt ./internal/experiments
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...

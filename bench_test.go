@@ -127,7 +127,7 @@ func BenchmarkF4_DRRMessages(b *testing.B) {
 
 // --- F5/F6/F7: Phase III -------------------------------------------------
 
-func benchPhase12(b *testing.B, eng *sim.Engine, values []float64) (rootTo []int, covmax map[int]float64, covsum map[int]convergecast.SumCount, f interface {
+func benchPhase12(b *testing.B, eng *sim.Engine, values []float64) (rootTo []int, covmax []float64, covsum []convergecast.SumCount, f interface {
 	LargestRoot() int
 	NumTrees() int
 }, forestRes *drr.Result) {
@@ -182,7 +182,7 @@ func BenchmarkF7_GossipAve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine(benchN, sim.Options{Seed: uint64(i)})
 		rootTo, _, covsum, _, dres := benchPhase12(b, eng, values)
-		z := dres.Forest.LargestRoot()
+		z := dres.Forest.RootIndex(dres.Forest.LargestRoot())
 		res, err := gossip.Ave(eng, dres.Forest, rootTo, covsum, gossip.AveOptions{TrackRoot: -1})
 		if err != nil {
 			b.Fatal(err)

@@ -15,10 +15,15 @@ import (
 type Kind int
 
 const (
+	// Min is the minimum of the values.
 	Min Kind = iota
+	// Max is the maximum of the values.
 	Max
+	// Sum is the sum of the values.
 	Sum
+	// Count is the number of values.
 	Count
+	// Average is the arithmetic mean of the values.
 	Average
 	// Rank is parameterised: Rank(q) = |{i : v_i <= q}|.
 	Rank

@@ -47,13 +47,14 @@ const (
 // the transport).
 type mergeFunc func(acc, in sim.Payload) sim.Payload
 
-// up runs the generic upward aggregation and returns per-root payload
-// accumulators. Liveness is re-evaluated every round so that mid-run
-// crashes (dynamic membership) degrade the result instead of stalling
-// the phase: a dead child is no longer waited for, a node with a dead
-// parent stops retrying, and under an active fault regime an incomplete
-// phase returns the partial accumulators rather than ErrIncomplete.
-func up(eng *sim.Engine, f *forest.Forest, init []sim.Payload, merge mergeFunc) (map[int]sim.Payload, sim.Counters, error) {
+// up runs the generic upward aggregation and returns the root payload
+// accumulators by tree index (position in f.Roots()). Liveness is
+// re-evaluated every round so that mid-run crashes (dynamic membership)
+// degrade the result instead of stalling the phase: a dead child is no
+// longer waited for, a node with a dead parent stops retrying, and under
+// an active fault regime an incomplete phase returns the partial
+// accumulators rather than ErrIncomplete.
+func up(eng *sim.Engine, f *forest.Forest, init []sim.Payload, merge mergeFunc) ([]sim.Payload, sim.Counters, error) {
 	n := eng.N()
 	if f.N() != n {
 		return nil, sim.Counters{}, fmt.Errorf("convergecast: forest has %d nodes, engine %d", f.N(), n)
@@ -126,9 +127,9 @@ func up(eng *sim.Engine, f *forest.Forest, init []sim.Payload, merge mergeFunc) 
 	if remaining > 0 && !eng.Faulty() {
 		return nil, stats, ErrIncomplete
 	}
-	out := make(map[int]sim.Payload, f.NumTrees())
-	for _, r := range f.Roots() {
-		out[r] = acc[r]
+	out := make([]sim.Payload, f.NumTrees())
+	for k, r := range f.Roots() {
+		out[k] = acc[r]
 	}
 	return out, stats, nil
 }
@@ -149,36 +150,28 @@ func valueInit(f *forest.Forest, values []float64, withCount, withSquare bool) [
 }
 
 // Max runs Convergecast-max (Algorithm 2): each root learns the maximum
-// value in its tree.
-func Max(eng *sim.Engine, f *forest.Forest, values []float64) (map[int]float64, sim.Counters, error) {
-	res, stats, err := up(eng, f, valueInit(f, values, false, false),
-		func(acc, in sim.Payload) sim.Payload {
-			acc.A = math.Max(acc.A, in.A)
-			return acc
-		})
-	if err != nil {
-		return nil, stats, err
-	}
-	out := make(map[int]float64, len(res))
-	for r, p := range res {
-		out[r] = p.A
-	}
-	return out, stats, nil
+// value in its tree. The result is indexed by tree.
+func Max(eng *sim.Engine, f *forest.Forest, values []float64) ([]float64, sim.Counters, error) {
+	return extremum(eng, f, values, math.Max)
 }
 
 // Min is the symmetric variant of Algorithm 2 for minima.
-func Min(eng *sim.Engine, f *forest.Forest, values []float64) (map[int]float64, sim.Counters, error) {
+func Min(eng *sim.Engine, f *forest.Forest, values []float64) ([]float64, sim.Counters, error) {
+	return extremum(eng, f, values, math.Min)
+}
+
+func extremum(eng *sim.Engine, f *forest.Forest, values []float64, pick func(x, y float64) float64) ([]float64, sim.Counters, error) {
 	res, stats, err := up(eng, f, valueInit(f, values, false, false),
 		func(acc, in sim.Payload) sim.Payload {
-			acc.A = math.Min(acc.A, in.A)
+			acc.A = pick(acc.A, in.A)
 			return acc
 		})
 	if err != nil {
 		return nil, stats, err
 	}
-	out := make(map[int]float64, len(res))
-	for r, p := range res {
-		out[r] = p.A
+	out := make([]float64, len(res))
+	for k, p := range res {
+		out[k] = p.A
 	}
 	return out, stats, nil
 }
@@ -192,58 +185,56 @@ func addPayloads(acc, in sim.Payload) sim.Payload {
 }
 
 // Sum runs Convergecast-sum (Algorithm 3): each root learns its tree's
-// (Σ values, tree size) vector.
-func Sum(eng *sim.Engine, f *forest.Forest, values []float64) (map[int]SumCount, sim.Counters, error) {
+// (Σ values, tree size) vector. The result is indexed by tree.
+func Sum(eng *sim.Engine, f *forest.Forest, values []float64) ([]SumCount, sim.Counters, error) {
 	return sumUp(eng, f, valueInit(f, values, true, false))
 }
 
 // Moments is Convergecast-sum with Σ values² as a third component — the
 // "suitable modification" extending Algorithm 3 to second moments within
 // the same bounded message size.
-func Moments(eng *sim.Engine, f *forest.Forest, values []float64) (map[int]SumCount, sim.Counters, error) {
+func Moments(eng *sim.Engine, f *forest.Forest, values []float64) ([]SumCount, sim.Counters, error) {
 	return sumUp(eng, f, valueInit(f, values, true, true))
 }
 
-func sumUp(eng *sim.Engine, f *forest.Forest, init []sim.Payload) (map[int]SumCount, sim.Counters, error) {
+func sumUp(eng *sim.Engine, f *forest.Forest, init []sim.Payload) ([]SumCount, sim.Counters, error) {
 	res, stats, err := up(eng, f, init, addPayloads)
 	if err != nil {
 		return nil, stats, err
 	}
-	out := make(map[int]SumCount, len(res))
-	for r, p := range res {
-		out[r] = SumCount{Sum: p.A, Sum2: p.B, Count: p.C}
+	out := make([]SumCount, len(res))
+	for k, p := range res {
+		out[k] = SumCount{Sum: p.A, Sum2: p.B, Count: p.C}
 	}
 	return out, stats, nil
 }
 
-// down pushes per-root payloads to every tree member. A node sends to one
-// child per round (the one-call-per-round constraint), retrying
-// unacknowledged children; delivered children start forwarding to their
-// own subtrees the next round. Liveness is re-evaluated every round:
+// down pushes each tree's payload (perRoot, indexed by tree) to every
+// member of that tree. A node sends to one child per round (the
+// one-call-per-round constraint), retrying unacknowledged children;
+// delivered children start forwarding to their own subtrees the next
+// round. Liveness is re-evaluated every round:
 // dead children are skipped (their subtrees go unserved — degraded
 // delivery, reported through the returned have mask), and unreachable
 // subtrees (a dead or payload-less ancestor) stop counting toward
 // completion, so mid-run crashes cannot stall the phase. Under an active
 // fault regime an incomplete broadcast returns partial results instead
 // of ErrIncomplete.
-func down(eng *sim.Engine, f *forest.Forest, perRoot map[int]sim.Payload) ([]sim.Payload, *bitset.Set, sim.Counters, error) {
+func down(eng *sim.Engine, f *forest.Forest, perRoot []sim.Payload) ([]sim.Payload, *bitset.Set, sim.Counters, error) {
 	n := eng.N()
 	if f.N() != n {
 		return nil, nil, sim.Counters{}, fmt.Errorf("convergecast: forest has %d nodes, engine %d", f.N(), n)
+	}
+	if len(perRoot) != f.NumTrees() {
+		return nil, nil, sim.Counters{}, fmt.Errorf("convergecast: %d root payloads for %d trees", len(perRoot), f.NumTrees())
 	}
 	start := eng.Stats()
 	have := bitset.New(n)
 	pay := make([]sim.Payload, n)
 	nextChild := make([]int, n) // index into Children(i) of next un-acked child
-	for i := 0; i < n; i++ {
-		if f.Member(i) && f.IsRoot(i) {
-			p, ok := perRoot[i]
-			if !ok {
-				return nil, nil, sim.Counters{}, fmt.Errorf("convergecast: missing payload for root %d", i)
-			}
-			have.Set(i)
-			pay[i] = p
-		}
+	for k, r := range f.Roots() {
+		have.Set(r)
+		pay[r] = perRoot[k]
 	}
 	// order lists members parents-before-children for the per-round
 	// reachability sweep; reach[i] = node i holds or can still receive
@@ -323,13 +314,14 @@ func down(eng *sim.Engine, f *forest.Forest, perRoot map[int]sim.Payload) ([]sim
 	return pay, have, stats, nil
 }
 
-// BroadcastValue distributes one float per root to all members of its
-// tree; the per-node result is NaN for non-members and for members the
-// broadcast could not reach (crashed, or beyond a crashed ancestor).
-func BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot map[int]float64) ([]float64, sim.Counters, error) {
-	pays := make(map[int]sim.Payload, len(perRoot))
-	for r, v := range perRoot {
-		pays[r] = sim.Payload{A: v}
+// BroadcastValue distributes one float per tree (perRoot, indexed by
+// tree) to all members of that tree; the per-node result is NaN for
+// non-members and for members the broadcast could not reach (crashed, or
+// beyond a crashed ancestor).
+func BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot []float64) ([]float64, sim.Counters, error) {
+	pays := make([]sim.Payload, len(perRoot))
+	for k, v := range perRoot {
+		pays[k] = sim.Payload{A: v}
 	}
 	res, have, stats, err := down(eng, f, pays)
 	if err != nil {
@@ -351,9 +343,9 @@ func BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot map[int]float64) 
 // non-address-oblivious forwarding table used by Phase III). Non-members
 // and unreached members get -1.
 func BroadcastRootAddr(eng *sim.Engine, f *forest.Forest) ([]int, sim.Counters, error) {
-	pays := make(map[int]sim.Payload, f.NumTrees())
-	for _, r := range f.Roots() {
-		pays[r] = sim.Payload{X: int64(r)}
+	pays := make([]sim.Payload, f.NumTrees())
+	for k, r := range f.Roots() {
+		pays[k] = sim.Payload{X: int64(r)}
 	}
 	res, have, stats, err := down(eng, f, pays)
 	if err != nil {

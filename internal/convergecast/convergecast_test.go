@@ -40,10 +40,10 @@ func TestMaxExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range f.Roots() {
+	for k, r := range f.Roots() {
 		want := agg.Exact(agg.Max, treeValues(f, values, r), 0)
-		if got[r] != want {
-			t.Fatalf("root %d: max = %v, want %v", r, got[r], want)
+		if got[k] != want {
+			t.Fatalf("root %d: max = %v, want %v", r, got[k], want)
 		}
 	}
 	// O(n) messages: every non-root sends once + ack.
@@ -61,10 +61,10 @@ func TestMinExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range f.Roots() {
+	for k, r := range f.Roots() {
 		want := agg.Exact(agg.Min, treeValues(f, values, r), 0)
-		if got[r] != want {
-			t.Fatalf("root %d: min = %v, want %v", r, got[r], want)
+		if got[k] != want {
+			t.Fatalf("root %d: min = %v, want %v", r, got[k], want)
 		}
 	}
 }
@@ -78,16 +78,16 @@ func TestSumExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	totalCount := 0.0
-	for _, r := range f.Roots() {
+	for k, r := range f.Roots() {
 		tv := treeValues(f, values, r)
 		wantSum := agg.Exact(agg.Sum, tv, 0)
-		if math.Abs(got[r].Sum-wantSum) > 1e-9 {
-			t.Fatalf("root %d: sum = %v, want %v", r, got[r].Sum, wantSum)
+		if math.Abs(got[k].Sum-wantSum) > 1e-9 {
+			t.Fatalf("root %d: sum = %v, want %v", r, got[k].Sum, wantSum)
 		}
-		if got[r].Count != float64(len(tv)) {
-			t.Fatalf("root %d: count = %v, want %d", r, got[r].Count, len(tv))
+		if got[k].Count != float64(len(tv)) {
+			t.Fatalf("root %d: count = %v, want %d", r, got[k].Count, len(tv))
 		}
-		totalCount += got[r].Count
+		totalCount += got[k].Count
 	}
 	if totalCount != float64(f.NumMembers()) {
 		t.Fatalf("tree sizes sum to %v, want %d", totalCount, f.NumMembers())
@@ -104,9 +104,9 @@ func TestSumExactUnderLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range f.Roots() {
+	for k, r := range f.Roots() {
 		tv := treeValues(f, values, r)
-		if math.Abs(got[r].Sum-agg.Exact(agg.Sum, tv, 0)) > 1e-9 {
+		if math.Abs(got[k].Sum-agg.Exact(agg.Sum, tv, 0)) > 1e-9 {
 			t.Fatalf("root %d sum wrong under loss", r)
 		}
 	}
@@ -131,9 +131,9 @@ func TestRoundsBoundedByHeight(t *testing.T) {
 func TestBroadcastValue(t *testing.T) {
 	eng := sim.NewEngine(1024, sim.Options{Seed: 6})
 	f := buildForest(t, eng)
-	perRoot := make(map[int]float64)
-	for _, r := range f.Roots() {
-		perRoot[r] = float64(r) * 1.5
+	perRoot := make([]float64, f.NumTrees())
+	for k, r := range f.Roots() {
+		perRoot[k] = float64(r) * 1.5
 	}
 	got, stats, err := BroadcastValue(eng, f, perRoot)
 	if err != nil {
@@ -175,9 +175,10 @@ func TestBroadcastRootAddr(t *testing.T) {
 func TestBroadcastMissingRootPayload(t *testing.T) {
 	eng := sim.NewEngine(64, sim.Options{Seed: 8})
 	f := buildForest(t, eng)
-	_, _, err := BroadcastValue(eng, f, map[int]float64{})
-	if err == nil {
-		t.Fatal("missing root payload accepted")
+	for _, perRoot := range [][]float64{nil, make([]float64, f.NumTrees()-1)} {
+		if _, _, err := BroadcastValue(eng, f, perRoot); err == nil {
+			t.Fatalf("%d root payloads for %d trees accepted", len(perRoot), f.NumTrees())
+		}
 	}
 }
 
@@ -281,14 +282,14 @@ func TestMomentsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range f.Roots() {
+	for k, r := range f.Roots() {
 		tv := treeValues(f, values, r)
 		wantSum := agg.Exact(agg.Sum, tv, 0)
 		wantSum2 := 0.0
 		for _, v := range tv {
 			wantSum2 += v * v
 		}
-		mv := got[r]
+		mv := got[k]
 		if math.Abs(mv.Sum-wantSum) > 1e-9 || math.Abs(mv.Sum2-wantSum2) > 1e-9 {
 			t.Fatalf("root %d moments = %+v, want sum %v sum2 %v", r, mv, wantSum, wantSum2)
 		}

@@ -85,17 +85,6 @@ type Result struct {
 // ErrNoNodes is returned when the engine has no alive nodes to aggregate.
 var ErrNoNodes = errors.New("drrgossip: no alive nodes")
 
-// largestKey encodes (tree size, root id) into an exactly-representable
-// float64 so Gossip-max can elect a unique largest-tree root. Sizes and
-// ids stay below 2^24, so size*2^24 + id < 2^48 < 2^53.
-func largestKey(size, root int) float64 {
-	return float64(size)*(1<<24) + float64(root)
-}
-
-func decodeKeyRoot(key float64) int {
-	return int(int64(key) & (1<<24 - 1))
-}
-
 // Max runs DRR-gossip-max (Algorithm 7) on ov (nil = the complete graph).
 func Max(eng *sim.Engine, ov overlay.Overlay, values []float64) (*Result, error) {
 	return maxPipeline(eng, ov, values, false)
@@ -107,7 +96,8 @@ func Min(eng *sim.Engine, ov overlay.Overlay, values []float64) (*Result, error)
 }
 
 // transport is the part of a pipeline that depends on the topology:
-// dense on the complete graph, routed on an overlay (sparse.go).
+// dense on the complete graph, routed on an overlay (sparse.go). Root
+// state is a slice indexed by tree (position in f.Roots()).
 type transport interface {
 	// forest runs Phase I.
 	forest(eng *sim.Engine) (*forest.Forest, error)
@@ -115,12 +105,12 @@ type transport interface {
 	// root-address broadcast, in the transport's order. The order is
 	// observable: per-message loss is hashed on the send sequence.
 	aggregate(eng *sim.Engine, f *forest.Forest, converge func() error) error
-	// gossipMax, gossipAve and spread run Phase III among the roots.
-	// gossipMax and spread return every root's estimate, gossipAve the
-	// push-sum outcome (Estimates, S, G; S2 on the dense transport only).
-	gossipMax(eng *sim.Engine, f *forest.Forest, init map[int]float64) (map[int]float64, error)
-	gossipAve(eng *sim.Engine, f *forest.Forest, init map[int]convergecast.SumCount, reliable bool) (*gossip.AveResult, error)
-	spread(eng *sim.Engine, f *forest.Forest, z int, value float64) (map[int]float64, error)
+	// gossipMax and gossipAve run Phase III among the roots (Data-spread
+	// is gossipMax on gossip.SpreadInit). gossipMax returns every root's
+	// estimate, gossipAve the push-sum outcome (Estimates, S, G; S2 on
+	// the dense transport only).
+	gossipMax(eng *sim.Engine, f *forest.Forest, init []float64) ([]float64, error)
+	gossipAve(eng *sim.Engine, f *forest.Forest, init []convergecast.SumCount, reliable bool) (*gossip.AveResult, error)
 }
 
 // dense is the complete-graph transport: DRR, then uniform random calls
@@ -144,7 +134,7 @@ func (d *dense) aggregate(eng *sim.Engine, f *forest.Forest, converge func() err
 	return err
 }
 
-func (d *dense) gossipMax(eng *sim.Engine, f *forest.Forest, init map[int]float64) (map[int]float64, error) {
+func (d *dense) gossipMax(eng *sim.Engine, f *forest.Forest, init []float64) ([]float64, error) {
 	res, err := gossip.Max(eng, f, d.rootTo, init)
 	if err != nil {
 		return nil, err
@@ -152,16 +142,8 @@ func (d *dense) gossipMax(eng *sim.Engine, f *forest.Forest, init map[int]float6
 	return res.Estimates, nil
 }
 
-func (d *dense) gossipAve(eng *sim.Engine, f *forest.Forest, init map[int]convergecast.SumCount, reliable bool) (*gossip.AveResult, error) {
+func (d *dense) gossipAve(eng *sim.Engine, f *forest.Forest, init []convergecast.SumCount, reliable bool) (*gossip.AveResult, error) {
 	return gossip.Ave(eng, f, d.rootTo, init, gossip.AveOptions{TrackRoot: -1, ReliableShares: reliable})
-}
-
-func (d *dense) spread(eng *sim.Engine, f *forest.Forest, z int, value float64) (map[int]float64, error) {
-	res, err := gossip.Spread(eng, f, d.rootTo, z, value)
-	if err != nil {
-		return nil, err
-	}
-	return res.Estimates, nil
 }
 
 // meter labels a run's phases on the engine in paper order and bills
@@ -236,7 +218,7 @@ func maxPipeline(eng *sim.Engine, ov overlay.Overlay, values []float64, negate b
 			work[i] = -v
 		}
 	}
-	var covmax map[int]float64
+	var covmax []float64
 	t, f, m, err := begin(eng, ov, work, func(f *forest.Forest) (err error) {
 		covmax, _, err = convergecast.Max(eng, f, work)
 		return err
@@ -272,16 +254,16 @@ func maxPipeline(eng *sim.Engine, ov overlay.Overlay, values []float64, negate b
 // wins; when mid-run crashes leave it NaN, the first finite estimate of
 // a live root stands in (any dead root's frozen estimate as a last
 // resort), so faulty runs report a degraded answer instead of NaN.
-func bestEffortValue(eng *sim.Engine, f *forest.Forest, preferred float64, est map[int]float64) float64 {
+func bestEffortValue(eng *sim.Engine, f *forest.Forest, preferred float64, est []float64) float64 {
 	if !math.IsNaN(preferred) && !math.IsInf(preferred, 0) {
 		return preferred
 	}
 	for _, pass := range [2]bool{true, false} { // live roots first; sorted order
-		for _, r := range f.Roots() {
+		for k, r := range f.Roots() {
 			if eng.Alive(r) != pass {
 				continue
 			}
-			if v, ok := est[r]; ok && !math.IsNaN(v) && !math.IsInf(v, 0) {
+			if v := est[k]; !math.IsNaN(v) && !math.IsInf(v, 0) {
 				return v
 			}
 		}
@@ -329,37 +311,39 @@ const (
 	pushMoments
 )
 
-// electRoot resolves the distinguished root from the won election key.
-// In a healthy run the decoded winner is a live root and is returned
-// as-is. When mid-run crashes killed it (its tree's mass would be
-// unreachable), the election falls back to the live root with the
-// largest own key — deterministically, since Roots() is sorted — so the
-// push-sum denominator is placed where it can still circulate.
-func electRoot(eng *sim.Engine, f *forest.Forest, maxKey float64, keys map[int]float64) (int, error) {
-	z := decodeKeyRoot(maxKey)
-	if f.IsRoot(z) && eng.Alive(z) {
+// electRoot resolves the distinguished root's tree index from the
+// Gossip-max estimates kest over the election keys. In a healthy run the
+// decoded winner is a live root and is returned as-is. When mid-run
+// crashes killed it (its tree's mass would be unreachable), the election
+// falls back to the live root with the largest own key —
+// deterministically, since Roots() is sorted — so the push-sum
+// denominator is placed where it can still circulate.
+func electRoot(eng *sim.Engine, f *forest.Forest, kest, keys []float64) (int, error) {
+	won := gossip.ElectedRoot(kest)
+	z := f.RootIndex(won)
+	if z >= 0 && eng.Alive(won) {
 		return z, nil
 	}
 	best, bestKey := -1, math.Inf(-1)
-	for _, r := range f.Roots() {
-		if eng.Alive(r) && keys[r] > bestKey {
-			best, bestKey = r, keys[r]
+	for k, r := range f.Roots() {
+		if eng.Alive(r) && keys[k] > bestKey {
+			best, bestKey = k, keys[k]
 		}
 	}
 	if best >= 0 {
 		return best, nil
 	}
-	if f.IsRoot(z) {
+	if z >= 0 {
 		return z, nil // every root is dead; keep the elected one
 	}
-	return -1, fmt.Errorf("drrgossip: elected node %d is not a root", z)
+	return -1, fmt.Errorf("drrgossip: elected node %d is not a root", won)
 }
 
-func buildInit(mode pushMode, covsum map[int]convergecast.SumCount, z int) map[int]convergecast.SumCount {
-	init := make(map[int]convergecast.SumCount, len(covsum))
-	for r, sc := range covsum {
+func buildInit(mode pushMode, covsum []convergecast.SumCount, z int) []convergecast.SumCount {
+	init := make([]convergecast.SumCount, len(covsum))
+	for k, sc := range covsum {
 		g := 0.0
-		if r == z {
+		if k == z {
 			g = 1
 		}
 		switch mode {
@@ -372,7 +356,7 @@ func buildInit(mode pushMode, covsum map[int]convergecast.SumCount, z int) map[i
 		}
 		// pushAve and pushMoments keep (tree sum[, sum2], tree size):
 		// ratios converge to Σsums/Σsizes (and Σsum2s/Σsizes).
-		init[r] = sc
+		init[k] = sc
 	}
 	return init
 }
@@ -382,7 +366,7 @@ func avePipeline(eng *sim.Engine, ov overlay.Overlay, values []float64, mode pus
 	if mode == pushMoments {
 		converge = convergecast.Moments
 	}
-	var covsum map[int]convergecast.SumCount
+	var covsum []convergecast.SumCount
 	t, f, m, err := begin(eng, ov, values, func(f *forest.Forest) (err error) {
 		covsum, _, err = converge(eng, f, values)
 		return err
@@ -393,25 +377,12 @@ func avePipeline(eng *sim.Engine, ov overlay.Overlay, values []float64, mode pus
 
 	// Phase III(a): Gossip-max on (tree size, root id) keys elects the
 	// largest-tree root z; every root learns the winning key, hence z.
-	keys := make(map[int]float64, f.NumTrees())
-	for r, sc := range covsum {
-		keys[r] = largestKey(int(sc.Count), r)
-	}
+	keys := gossip.ElectionKeys(f, covsum)
 	kest, err := t.gossipMax(eng, f, keys)
 	if err != nil {
 		return nil, err
 	}
-	// In the protocol each root compares the winning key against its own
-	// to decide whether it is z. The winner's own estimate is always >=
-	// its own key, so the maximum estimate is exactly the true winning
-	// key.
-	maxKey := math.Inf(-1)
-	for _, v := range kest {
-		if v > maxKey {
-			maxKey = v
-		}
-	}
-	z, err := electRoot(eng, f, maxKey, keys)
+	z, err := electRoot(eng, f, kest, keys)
 	if err != nil {
 		return nil, err
 	}
@@ -429,15 +400,19 @@ func avePipeline(eng *sim.Engine, ov overlay.Overlay, values []float64, mode pus
 	// mid-run crashes z's estimate can be NaN (or z freshly dead); the
 	// spread then carries the best surviving estimate instead.
 	value := bestEffortValue(eng, f, ave.Estimates[z], ave.Estimates)
-	sest, err := t.spread(eng, f, z, value)
+	sest, err := t.gossipMax(eng, f, gossip.SpreadInit(f.NumTrees(), z, value))
 	if err != nil {
 		return nil, err
 	}
 	var variance float64
-	var svar map[int]float64
+	var svar []float64
 	if mode == pushMoments {
-		variance = ave.S2[z]/ave.G[z] - value*value
-		if svar, err = t.spread(eng, f, z, variance); err != nil {
+		var s2 float64 // S2 is nil when every value is zero
+		if ave.S2 != nil {
+			s2 = ave.S2[z]
+		}
+		variance = s2/ave.G[z] - value*value
+		if svar, err = t.gossipMax(eng, f, gossip.SpreadInit(f.NumTrees(), z, variance)); err != nil {
 			return nil, err
 		}
 	}

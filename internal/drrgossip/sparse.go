@@ -13,7 +13,6 @@ package drrgossip
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"drrgossip/internal/convergecast"
@@ -79,15 +78,15 @@ func shipToRandomRoot(eng *sim.Engine, ov overlay.Overlay, f *forest.Forest, r i
 	return true
 }
 
-// drainTicks advances the engine `ticks` rounds, invoking scan on every
-// root's inbox after each round (routed messages arrive at staggered
-// times).
-func drainTicks(eng *sim.Engine, roots []int, ticks int, scan func(r int, m sim.Message)) {
-	for k := 0; k < ticks; k++ {
+// drainTicks advances the engine `ticks` rounds, invoking scan with the
+// tree index of every root's inbox after each round (routed messages
+// arrive at staggered times).
+func drainTicks(eng *sim.Engine, roots []int, ticks int, scan func(k int, m sim.Message)) {
+	for t := 0; t < ticks; t++ {
 		eng.Tick()
-		for _, r := range roots {
+		for k, r := range roots {
 			for _, m := range eng.Inbox(r) {
-				scan(r, m)
+				scan(k, m)
 			}
 		}
 	}
@@ -133,68 +132,53 @@ func (rt routed) aggregate(eng *sim.Engine, f *forest.Forest, converge func() er
 	return converge()
 }
 
-// spread is Data-spread: Gossip-max with every root but z at -Inf.
-func (rt routed) spread(eng *sim.Engine, f *forest.Forest, z int, value float64) (map[int]float64, error) {
-	init := make(map[int]float64, f.NumTrees())
-	for _, r := range f.Roots() {
-		init[r] = math.Inf(-1)
-	}
-	init[z] = value
-	return rt.gossipMax(eng, f, init)
-}
-
 // gossipMax runs the Gossip-max gossip+sampling procedures over routed
 // overlay paths.
-func (rt routed) gossipMax(eng *sim.Engine, f *forest.Forest, init map[int]float64) (map[int]float64, error) {
+func (rt routed) gossipMax(eng *sim.Engine, f *forest.Forest, init []float64) ([]float64, error) {
 	roots := f.Roots()
-	val := make(map[int]float64, len(roots))
-	for _, r := range roots {
-		v, ok := init[r]
-		if !ok {
-			return nil, fmt.Errorf("drrgossip: missing init for root %d", r)
-		}
-		val[r] = v
-	}
+	val := append([]float64(nil), init...)
 	ticks := ticksPerIteration(rt.ov, f)
 	n := eng.N()
 
 	for t := 0; t < gossipIters(n); t++ {
-		for _, r := range roots {
+		for k, r := range roots {
 			if !eng.Alive(r) {
 				continue // crashed roots place no calls
 			}
-			shipToRandomRoot(eng, rt.ov, f, r, sim.Payload{Kind: kindSparseVal, A: val[r]})
+			shipToRandomRoot(eng, rt.ov, f, r, sim.Payload{Kind: kindSparseVal, A: val[k]})
 		}
-		drainTicks(eng, roots, ticks, func(r int, m sim.Message) {
-			if m.Pay.Kind == kindSparseVal && m.Pay.A > val[r] {
-				val[r] = m.Pay.A
+		drainTicks(eng, roots, ticks, func(k int, m sim.Message) {
+			if m.Pay.Kind == kindSparseVal && m.Pay.A > val[k] {
+				val[k] = m.Pay.A
 			}
 		})
 	}
+	// An inquiry reaches responder (a tree index) from inquirer (a node).
+	type inquiry struct{ responder, inquirer int }
 	for t := 0; t < sampleIters(n); t++ {
-		var inquiries []sim.Message
+		var inquiries []inquiry
 		for _, r := range roots {
 			if !eng.Alive(r) {
 				continue
 			}
 			shipToRandomRoot(eng, rt.ov, f, r, sim.Payload{Kind: kindSparseInq, X: int64(r)})
 		}
-		drainTicks(eng, roots, ticks, func(r int, m sim.Message) {
+		drainTicks(eng, roots, ticks, func(k int, m sim.Message) {
 			if m.Pay.Kind == kindSparseInq {
-				inquiries = append(inquiries, sim.Message{From: int(m.Pay.X), To: r})
+				inquiries = append(inquiries, inquiry{responder: k, inquirer: int(m.Pay.X)})
 			}
 		})
 		for _, inq := range inquiries {
-			responder, inquirer := inq.To, inq.From
-			path := rt.ov.Route(responder, inquirer)
+			responder := roots[inq.responder]
+			path := rt.ov.Route(responder, inq.inquirer)
 			if len(path) == 0 {
 				continue
 			}
-			eng.SendRouted(responder, path, sim.Payload{Kind: kindSparseReply, A: val[responder]})
+			eng.SendRouted(responder, path, sim.Payload{Kind: kindSparseReply, A: val[inq.responder]})
 		}
-		drainTicks(eng, roots, ticks, func(r int, m sim.Message) {
-			if m.Pay.Kind == kindSparseReply && m.Pay.A > val[r] {
-				val[r] = m.Pay.A
+		drainTicks(eng, roots, ticks, func(k int, m sim.Message) {
+			if m.Pay.Kind == kindSparseReply && m.Pay.A > val[k] {
+				val[k] = m.Pay.A
 			}
 		})
 	}
@@ -207,16 +191,12 @@ func (rt routed) gossipMax(eng *sim.Engine, f *forest.Forest, init map[int]float
 // destroyed — required by the distinguished-root Sum/Count variants,
 // whose denominator is a single unit of mass (see gossip.AveOptions).
 // Shares carry (s, g) only: the routed transport has no Σv² component.
-func (rt routed) gossipAve(eng *sim.Engine, f *forest.Forest, init map[int]convergecast.SumCount, reliable bool) (*gossip.AveResult, error) {
+func (rt routed) gossipAve(eng *sim.Engine, f *forest.Forest, init []convergecast.SumCount, reliable bool) (*gossip.AveResult, error) {
 	roots := f.Roots()
-	s := make(map[int]float64, len(roots))
-	g := make(map[int]float64, len(roots))
-	for _, r := range roots {
-		sc, ok := init[r]
-		if !ok {
-			return nil, fmt.Errorf("drrgossip: missing init for root %d", r)
-		}
-		s[r], g[r] = sc.Sum, sc.Count
+	s := make([]float64, len(roots))
+	g := make([]float64, len(roots))
+	for k, sc := range init {
+		s[k], g[k] = sc.Sum, sc.Count
 	}
 	ticks := ticksPerIteration(rt.ov, f)
 	// In reliable mode, shares are tracked until their delivery round:
@@ -225,12 +205,12 @@ func (rt routed) gossipAve(eng *sim.Engine, f *forest.Forest, init map[int]conve
 	// restored, so mid-run crashes cannot bleed push-sum mass (a no-op
 	// in the static model).
 	type inflight struct {
-		r, dst, due int
+		k, dst, due int // sender's tree index, destination node, due round
 		s, g        float64
 	}
 	var pendingShares []inflight
 	for t := 0; t < aveIters(eng.N()); t++ {
-		for _, r := range roots {
+		for k, r := range roots {
 			if !eng.Alive(r) {
 				continue // a crashed root's (s, g) mass freezes in place
 			}
@@ -238,15 +218,15 @@ func (rt routed) gossipAve(eng *sim.Engine, f *forest.Forest, init map[int]conve
 			if len(full) == 0 {
 				continue // sampled own root (or a dead end); mass stays
 			}
-			halfS, halfG := s[r]/2, g[r]/2
+			halfS, halfG := s[k]/2, g[k]/2
 			pay := sim.Payload{Kind: kindSparseShare, A: halfS, B: halfG}
-			s[r], g[r] = halfS, halfG
+			s[k], g[k] = halfS, halfG
 			if reliable {
 				if !eng.SendRoutedReliable(r, full, pay, 0) {
-					s[r], g[r] = s[r]*2, g[r]*2 // undeliverable: restore
+					s[k], g[k] = s[k]*2, g[k]*2 // undeliverable: restore
 				} else {
 					pendingShares = append(pendingShares, inflight{
-						r: r, dst: full[len(full)-1],
+						k: k, dst: full[len(full)-1],
 						due: eng.Round() + len(full), s: halfS, g: halfG,
 					})
 				}
@@ -254,7 +234,7 @@ func (rt routed) gossipAve(eng *sim.Engine, f *forest.Forest, init map[int]conve
 				eng.SendRouted(r, full, pay)
 			}
 		}
-		for k := 0; k < ticks; k++ {
+		for tick := 0; tick < ticks; tick++ {
 			eng.Tick()
 			if len(pendingShares) > 0 {
 				kept := pendingShares[:0]
@@ -263,24 +243,24 @@ func (rt routed) gossipAve(eng *sim.Engine, f *forest.Forest, init map[int]conve
 					case sh.due > eng.Round():
 						kept = append(kept, sh) // still in flight
 					case !eng.Alive(sh.dst):
-						s[sh.r] += sh.s // ack timeout: restore
-						g[sh.r] += sh.g
+						s[sh.k] += sh.s // ack timeout: restore
+						g[sh.k] += sh.g
 					}
 				}
 				pendingShares = kept
 			}
-			for _, r := range roots {
+			for k, r := range roots {
 				for _, m := range eng.Inbox(r) {
 					if m.Pay.Kind == kindSparseShare {
-						s[r] += m.Pay.A
-						g[r] += m.Pay.B
+						s[k] += m.Pay.A
+						g[k] += m.Pay.B
 					}
 				}
 			}
 			if eng.WantResidual() {
-				eng.ReportResidual(gossip.EstimateSpread(roots, s, g))
+				eng.ReportResidual(gossip.EstimateSpread(s, g))
 			}
 		}
 	}
-	return &gossip.AveResult{Estimates: gossip.Ratios(roots, s, g), S: s, G: g}, nil
+	return &gossip.AveResult{Estimates: gossip.Ratios(s, g), S: s, G: g}, nil
 }

@@ -18,7 +18,7 @@ import (
 
 // phase12 runs DRR + convergecast + root broadcast, the common setup of
 // the Phase III experiments.
-func phase12(eng *sim.Engine, values []float64) (*forest.Forest, []int, map[int]float64, map[int]convergecast.SumCount, error) {
+func phase12(eng *sim.Engine, values []float64) (*forest.Forest, []int, []float64, []convergecast.SumCount, error) {
 	dres, err := drr.Run(eng, drr.Options{})
 	if err != nil {
 		return nil, nil, nil, nil, err

@@ -23,9 +23,10 @@ const (
 type Forest struct {
 	parent   []int
 	children [][]int
-	rootOf   []int // per-node root (NotMember for non-members)
+	tree     []int // per-node tree index into roots (NotMember for non-members)
 	depth    []int // per-node depth from its root (0 at roots)
-	roots    []int // sorted root list
+	roots    []int // sorted root list; a root's position is its tree index
+	sizes    []int // per-tree member count, by tree index
 	members  int
 }
 
@@ -37,15 +38,21 @@ func FromParents(parent []int) (*Forest, error) {
 	f := &Forest{
 		parent:   append([]int(nil), parent...),
 		children: make([][]int, n),
-		rootOf:   make([]int, n),
+		tree:     make([]int, n),
 		depth:    make([]int, n),
 	}
+	// Roots and non-members resolve here; every other node resolves below
+	// by walking up to an already-resolved ancestor.
+	const unresolved = -3
 	for i, p := range parent {
+		f.tree[i] = unresolved
 		switch {
 		case p == Root:
+			f.tree[i] = len(f.roots)
 			f.roots = append(f.roots, i)
 			f.members++
 		case p == NotMember:
+			f.tree[i] = NotMember
 		case p < 0 || p >= n:
 			return nil, fmt.Errorf("forest: node %d has out-of-range parent %d", i, p)
 		case p == i:
@@ -57,32 +64,16 @@ func FromParents(parent []int) (*Forest, error) {
 			f.members++
 		}
 	}
-	// Resolve roots and depths iteratively with cycle detection: walk each
+	// Resolve trees and depths iteratively with cycle detection: walk each
 	// unresolved path once, marking as we return.
-	const unresolved = -3
-	for i := range f.rootOf {
-		f.rootOf[i] = unresolved
-	}
 	var stack []int
 	for i := 0; i < n; i++ {
-		if f.rootOf[i] != unresolved {
-			continue
-		}
-		if parent[i] == NotMember {
-			f.rootOf[i] = NotMember
+		if f.tree[i] != unresolved {
 			continue
 		}
 		stack = stack[:0]
 		cur := i
-		for {
-			if f.rootOf[cur] != unresolved {
-				break // reached resolved region
-			}
-			if parent[cur] == Root {
-				f.rootOf[cur] = cur
-				f.depth[cur] = 0
-				break
-			}
+		for f.tree[cur] == unresolved {
 			stack = append(stack, cur)
 			if len(stack) > n {
 				return nil, errors.New("forest: cycle detected")
@@ -92,17 +83,23 @@ func FromParents(parent []int) (*Forest, error) {
 				return nil, fmt.Errorf("forest: path from %d leaves the forest at %d", i, cur)
 			}
 		}
-		if f.rootOf[cur] == NotMember {
+		if f.tree[cur] == NotMember {
 			return nil, fmt.Errorf("forest: path from %d reaches non-member %d", i, cur)
 		}
 		for k := len(stack) - 1; k >= 0; k-- {
 			v := stack[k]
 			p := parent[v]
-			if f.rootOf[p] == unresolved {
+			if f.tree[p] == unresolved {
 				return nil, errors.New("forest: cycle detected")
 			}
-			f.rootOf[v] = f.rootOf[p]
+			f.tree[v] = f.tree[p]
 			f.depth[v] = f.depth[p] + 1
+		}
+	}
+	f.sizes = make([]int, len(f.roots))
+	for _, k := range f.tree {
+		if k >= 0 {
+			f.sizes[k]++
 		}
 	}
 	return f, nil
@@ -133,15 +130,30 @@ func (f *Forest) IsLeaf(i int) bool {
 	return f.Member(i) && len(f.children[i]) == 0
 }
 
-// Roots returns the sorted list of tree roots. The caller must not modify
-// it.
+// Roots returns the sorted list of tree roots. A tree's position in it
+// is its tree index: every per-tree slice in Phases II and III is
+// indexed by it. The caller must not modify it.
 func (f *Forest) Roots() []int { return f.roots }
 
 // NumTrees returns the number of trees.
 func (f *Forest) NumTrees() int { return len(f.roots) }
 
+// RootIndex returns root r's tree index, its position in Roots(), or -1
+// when r is not a root.
+func (f *Forest) RootIndex(r int) int {
+	if r < 0 || r >= len(f.parent) || f.parent[r] != Root {
+		return -1
+	}
+	return f.tree[r]
+}
+
 // RootOf returns the root of node i's tree (NotMember for non-members).
-func (f *Forest) RootOf(i int) int { return f.rootOf[i] }
+func (f *Forest) RootOf(i int) int {
+	if k := f.tree[i]; k >= 0 {
+		return f.roots[k]
+	}
+	return NotMember
+}
 
 // Depth returns node i's distance from its root (0 for roots and
 // non-members).
@@ -152,32 +164,23 @@ func (f *Forest) Depth(i int) int {
 	return f.depth[i]
 }
 
-// TreeSize returns the number of nodes in the tree rooted at root.
+// TreeSize returns the number of nodes in the tree rooted at root (0 when
+// root is not a root).
 func (f *Forest) TreeSize(root int) int {
-	size := 0
-	for i := range f.rootOf {
-		if f.rootOf[i] == root && f.Member(i) {
-			size++
-		}
+	if k := f.RootIndex(root); k >= 0 {
+		return f.sizes[k]
 	}
-	return size
+	return 0
 }
 
-// TreeSizes returns a map from root to tree size.
-func (f *Forest) TreeSizes() map[int]int {
-	sizes := make(map[int]int, len(f.roots))
-	for i, r := range f.rootOf {
-		if r >= 0 && f.Member(i) {
-			sizes[r]++
-		}
-	}
-	return sizes
-}
+// TreeSizes returns the tree sizes by tree index. The caller must not
+// modify it.
+func (f *Forest) TreeSizes() []int { return f.sizes }
 
 // MaxTreeSize returns the largest tree size (0 for an empty forest).
 func (f *Forest) MaxTreeSize() int {
 	m := 0
-	for _, s := range f.TreeSizes() {
+	for _, s := range f.sizes {
 		if s > m {
 			m = s
 		}
@@ -191,22 +194,25 @@ func (f *Forest) LargestRoot() int {
 	if len(f.roots) == 0 {
 		panic("forest: LargestRoot of empty forest")
 	}
-	sizes := f.TreeSizes()
-	best, bestSize := -1, -1
-	for _, r := range f.roots {
-		if s := sizes[r]; s > bestSize || (s == bestSize && r < best) {
-			best, bestSize = r, s
+	best := 0
+	for k, s := range f.sizes {
+		if s > f.sizes[best] { // roots ascend, so the first maximum wins ties
+			best = k
 		}
 	}
-	return best
+	return f.roots[best]
 }
 
 // Height returns the height of the tree rooted at root: the maximum depth
 // among its members (0 for a singleton tree).
 func (f *Forest) Height(root int) int {
+	k := f.RootIndex(root)
+	if k < 0 {
+		return 0
+	}
 	h := 0
-	for i, r := range f.rootOf {
-		if r == root && f.depth[i] > h {
+	for i, t := range f.tree {
+		if t == k && f.depth[i] > h {
 			h = f.depth[i]
 		}
 	}
@@ -216,8 +222,8 @@ func (f *Forest) Height(root int) int {
 // MaxHeight returns the maximum tree height in the forest.
 func (f *Forest) MaxHeight() int {
 	h := 0
-	for i, r := range f.rootOf {
-		if r >= 0 && f.depth[i] > h {
+	for i, k := range f.tree {
+		if k >= 0 && f.depth[i] > h {
 			h = f.depth[i]
 		}
 	}
@@ -306,9 +312,9 @@ func (f *Forest) Repair(alive func(int) bool) (*Forest, int) {
 // tests on protocol-constructed forests.
 func (f *Forest) Validate() error {
 	seen := 0
-	for _, r := range f.roots {
-		if !f.IsRoot(r) {
-			return fmt.Errorf("forest: listed root %d is not a root", r)
+	for k, r := range f.roots {
+		if !f.IsRoot(r) || f.tree[r] != k {
+			return fmt.Errorf("forest: listed root %d is not root %d", r, k)
 		}
 	}
 	for i := 0; i < f.N(); i++ {
@@ -316,15 +322,15 @@ func (f *Forest) Validate() error {
 			continue
 		}
 		seen++
-		r := f.rootOf[i]
-		if r < 0 || !f.IsRoot(r) {
-			return fmt.Errorf("forest: node %d has invalid root %d", i, r)
+		k := f.tree[i]
+		if k < 0 || k >= len(f.roots) {
+			return fmt.Errorf("forest: node %d has invalid tree %d", i, k)
 		}
 		if p := f.parent[i]; p >= 0 {
 			if f.depth[i] != f.depth[p]+1 {
 				return fmt.Errorf("forest: depth mismatch at %d", i)
 			}
-			if f.rootOf[p] != r {
+			if f.tree[p] != k {
 				return fmt.Errorf("forest: root mismatch along edge (%d,%d)", i, p)
 			}
 		}

@@ -56,8 +56,8 @@ func TestRootOfAndDepth(t *testing.T) {
 
 func TestSizesHeightsLargest(t *testing.T) {
 	f := sample(t)
-	sizes := f.TreeSizes()
-	if sizes[0] != 4 || sizes[4] != 1 {
+	sizes := f.TreeSizes() // by tree index: root 0, then root 4
+	if len(sizes) != 2 || sizes[0] != 4 || sizes[1] != 1 {
 		t.Fatalf("TreeSizes = %v", sizes)
 	}
 	if f.TreeSize(0) != 4 || f.TreeSize(4) != 1 {

@@ -10,6 +10,9 @@
 // Consequently a root is selected with probability proportional to its
 // tree size — exactly the non-uniformity the paper's Theorems 5-7 analyse.
 //
+// Root state is a slice indexed by tree: position k holds the state of
+// root f.Roots()[k].
+//
 // Per-message loss needs no special handling here: Gossip-max tolerates it
 // statistically (Theorem 5 carries the (1-ρ) factor) and is finished off
 // by the sampling procedure (Theorem 6); in Gossip-ave a lost share
@@ -75,18 +78,19 @@ func ceilLog2(n int) int {
 
 // MaxResult is the outcome of Gossip-max.
 type MaxResult struct {
-	// Estimates holds each root's final Max estimate (after sampling).
-	Estimates map[int]float64
+	// Estimates holds each root's final Max estimate (after sampling),
+	// indexed by tree.
+	Estimates []float64
 	// AfterGossip holds the estimates after the gossip procedure only —
 	// the quantity Theorem 5 bounds (a constant fraction of roots already
 	// hold the true Max).
-	AfterGossip map[int]float64
+	AfterGossip []float64
 	Stats       sim.Counters
 }
 
 // checkInputs validates the shared preconditions of the Phase III entry
-// points.
-func checkInputs(eng *sim.Engine, f *forest.Forest, rootTo []int) error {
+// points; inits is the length of the per-tree init slice.
+func checkInputs(eng *sim.Engine, f *forest.Forest, rootTo []int, inits int) error {
 	if f.N() != eng.N() {
 		return fmt.Errorf("gossip: forest has %d nodes, engine %d", f.N(), eng.N())
 	}
@@ -95,6 +99,9 @@ func checkInputs(eng *sim.Engine, f *forest.Forest, rootTo []int) error {
 	}
 	if f.NumTrees() == 0 {
 		return fmt.Errorf("gossip: empty forest")
+	}
+	if inits != f.NumTrees() {
+		return fmt.Errorf("gossip: %d init values for %d trees", inits, f.NumTrees())
 	}
 	return nil
 }
@@ -111,23 +118,16 @@ func relayTarget(eng *sim.Engine, rootTo []int, chooser int) (relay, dst int) {
 	return j, dst
 }
 
-// Max runs Algorithm 4 on the roots of f. init maps every root to its
+// Max runs Algorithm 4 on the roots of f. init holds every tree's
 // initial value (e.g. the convergecast-max of its tree); rootTo gives
 // every node's root address (from the Phase II broadcast).
-func Max(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]float64) (*MaxResult, error) {
-	if err := checkInputs(eng, f, rootTo); err != nil {
+func Max(eng *sim.Engine, f *forest.Forest, rootTo []int, init []float64) (*MaxResult, error) {
+	if err := checkInputs(eng, f, rootTo, len(init)); err != nil {
 		return nil, err
 	}
 	start := eng.Stats()
 	roots := f.Roots()
-	val := make(map[int]float64, len(roots))
-	for _, r := range roots {
-		v, ok := init[r]
-		if !ok {
-			return nil, fmt.Errorf("gossip: missing init value for root %d", r)
-		}
-		val[r] = v
-	}
+	val := append([]float64(nil), init...)
 
 	gRounds, sRounds := gossipRounds(eng), sampleRounds(eng)
 
@@ -135,26 +135,23 @@ func Max(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]float64) 
 	// Roots that crash mid-run place no further calls (their estimate
 	// freezes; the rest of the clique keeps gossiping).
 	for t := 0; t < gRounds; t++ {
-		for _, r := range roots {
+		for k, r := range roots {
 			if !eng.Alive(r) {
 				continue
 			}
 			relay, dst := relayTarget(eng, rootTo, r)
-			eng.SendVia(r, relay, dst, sim.Payload{Kind: kindGossipVal, A: val[r]})
+			eng.SendVia(r, relay, dst, sim.Payload{Kind: kindGossipVal, A: val[k]})
 		}
 		eng.Tick()
-		for _, r := range roots {
+		for k, r := range roots {
 			for _, m := range eng.Inbox(r) {
-				if m.Pay.Kind == kindGossipVal && m.Pay.A > val[r] {
-					val[r] = m.Pay.A
+				if m.Pay.Kind == kindGossipVal && m.Pay.A > val[k] {
+					val[k] = m.Pay.A
 				}
 			}
 		}
 	}
-	after := make(map[int]float64, len(val))
-	for r, v := range val {
-		after[r] = v
-	}
+	after := append([]float64(nil), val...)
 
 	// Sampling procedure: inquire a random node's root and adopt its
 	// value if larger. Each iteration takes two rounds (inquiry out,
@@ -168,18 +165,18 @@ func Max(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]float64) 
 			eng.SendVia(r, relay, dst, sim.Payload{Kind: kindInquiry, X: int64(r)})
 		}
 		eng.Tick()
-		for _, r := range roots {
+		for k, r := range roots {
 			for _, m := range eng.Inbox(r) {
 				if m.Pay.Kind == kindInquiry {
-					eng.Send(r, int(m.Pay.X), sim.Payload{Kind: kindInqReply, A: val[r]})
+					eng.Send(r, int(m.Pay.X), sim.Payload{Kind: kindInqReply, A: val[k]})
 				}
 			}
 		}
 		eng.Tick()
-		for _, r := range roots {
+		for k, r := range roots {
 			for _, m := range eng.Inbox(r) {
-				if m.Pay.Kind == kindInqReply && m.Pay.A > val[r] {
-					val[r] = m.Pay.A
+				if m.Pay.Kind == kindInqReply && m.Pay.A > val[k] {
+					val[k] = m.Pay.A
 				}
 			}
 		}
@@ -195,15 +192,50 @@ func Max(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]float64) 
 // spread to all roots by running Gossip-max with every other root
 // initialised to -Inf.
 func Spread(eng *sim.Engine, f *forest.Forest, rootTo []int, source int, value float64) (*MaxResult, error) {
-	if !f.IsRoot(source) {
+	k := f.RootIndex(source)
+	if k < 0 {
 		return nil, fmt.Errorf("gossip: spread source %d is not a root", source)
 	}
-	init := make(map[int]float64, f.NumTrees())
-	for _, r := range f.Roots() {
-		init[r] = math.Inf(-1)
+	return Max(eng, f, rootTo, SpreadInit(f.NumTrees(), k, value))
+}
+
+// SpreadInit is Data-spread's Gossip-max input: value at tree source,
+// -Inf at every other tree.
+func SpreadInit(trees, source int, value float64) []float64 {
+	init := make([]float64, trees)
+	for k := range init {
+		init[k] = math.Inf(-1)
 	}
 	init[source] = value
-	return Max(eng, f, rootTo, init)
+	return init
+}
+
+// ElectionKeys encodes every tree's (size, root id), indexed by tree,
+// into an exactly-representable float64, so Gossip-max over the keys
+// elects a unique largest-tree root. Sizes come from the
+// convergecast-sum counts. Sizes and ids stay below 2^24, so
+// size*2^24 + id < 2^48 < 2^53.
+func ElectionKeys(f *forest.Forest, sums []convergecast.SumCount) []float64 {
+	keys := make([]float64, len(sums))
+	for k, sc := range sums {
+		keys[k] = float64(int(sc.Count))*(1<<24) + float64(f.Roots()[k])
+	}
+	return keys
+}
+
+// ElectedRoot decodes the root id of the winning key from Gossip-max's
+// estimates over election keys. Each root compares the winning key
+// against its own to decide whether it won; the winner's own estimate
+// is always >= its own key, so the maximum estimate is exactly the
+// winning key.
+func ElectedRoot(est []float64) int {
+	maxKey := math.Inf(-1)
+	for _, v := range est {
+		if v > maxKey {
+			maxKey = v
+		}
+	}
+	return int(int64(maxKey) & (1<<24 - 1))
 }
 
 // AveOptions tune Gossip-ave.
@@ -227,11 +259,12 @@ type AveOptions struct {
 
 // AveResult is the outcome of Gossip-ave.
 type AveResult struct {
-	// Estimates holds each root's final Ave estimate s/g.
-	Estimates map[int]float64
-	// S and G are the final push-sum components per root; S2 is the Σv²
+	// Estimates holds each root's final Ave estimate s/g, indexed by
+	// tree.
+	Estimates []float64
+	// S and G are the final push-sum components by tree; S2 is the Σv²
 	// component, nil unless some init vector carried Sum2.
-	S, G, S2 map[int]float64
+	S, G, S2 []float64
 	// Trajectory is the estimate of TrackRoot after each round.
 	Trajectory []float64
 	// Potential is Φ_t after each round when TrackPotential is set.
@@ -240,49 +273,47 @@ type AveResult struct {
 }
 
 // Ave runs Algorithm 6 (push-sum over roots with tree-relay): every root
-// starts with (s, g) = (local sum, tree size) from Convergecast-sum; each
+// starts with (s, g) = (local sum, tree size) from Convergecast-sum
+// (init, indexed by tree); each
 // round it keeps half and pushes half to a random node's root. The ratio
 // s/g at the largest-tree root converges to the global average at the
 // rate of Theorem 7.
 // When some init vector carries Sum2 (Σv², from convergecast.Moments),
 // s2 rides in the same shares, so s2/g converges to the mean square. An
 // all-zero component stays zero, so without Sum2 none is tracked.
-func Ave(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]convergecast.SumCount, opts AveOptions) (*AveResult, error) {
-	if err := checkInputs(eng, f, rootTo); err != nil {
+func Ave(eng *sim.Engine, f *forest.Forest, rootTo []int, init []convergecast.SumCount, opts AveOptions) (*AveResult, error) {
+	if err := checkInputs(eng, f, rootTo, len(init)); err != nil {
 		return nil, err
+	}
+	track := -1
+	if opts.TrackRoot >= 0 {
+		if track = f.RootIndex(opts.TrackRoot); track < 0 {
+			return nil, fmt.Errorf("gossip: tracked node %d is not a root", opts.TrackRoot)
+		}
 	}
 	start := eng.Stats()
 	roots := f.Roots()
-	s := make(map[int]float64, len(roots))
-	g := make(map[int]float64, len(roots))
-	var s2 map[int]float64 // nil unless some root carries Sum2
-	for _, r := range roots {
-		sc, ok := init[r]
-		if !ok {
-			return nil, fmt.Errorf("gossip: missing init vector for root %d", r)
-		}
-		s[r] = sc.Sum
-		g[r] = sc.Count
+	s := make([]float64, len(roots))
+	g := make([]float64, len(roots))
+	var s2 []float64 // nil unless some root carries Sum2
+	for k, sc := range init {
+		s[k] = sc.Sum
+		g[k] = sc.Count
 		if sc.Sum2 != 0 {
 			if s2 == nil {
-				s2 = make(map[int]float64, len(roots))
+				s2 = make([]float64, len(roots))
 			}
-			s2[r] = sc.Sum2
+			s2[k] = sc.Sum2
 		}
 	}
 	rounds := aveRounds(eng)
 
 	// Optional contribution tracking for the Lemma 8 potential.
 	var (
-		rootIdx map[int]int
-		y       [][]float64 // y[i][j]: root i's contribution from root j
-		w       []float64   // dummy weights, w0 = 1
+		y [][]float64 // y[i][j]: root i's contribution from root j
+		w []float64   // dummy weights, w0 = 1
 	)
 	if opts.TrackPotential {
-		rootIdx = make(map[int]int, len(roots))
-		for k, r := range roots {
-			rootIdx[r] = k
-		}
 		m := len(roots)
 		y = make([][]float64, m)
 		for k := range y {
@@ -317,11 +348,11 @@ func Ave(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]convergec
 		}
 		var shipped []shipment
 		type inflight struct {
-			r, dst int
+			k, dst int  // sender's tree index, destination node
 			lost   bool // every retry failed
 		}
 		var reliableSent []inflight
-		for _, r := range roots {
+		for k, r := range roots {
 			if !eng.Alive(r) {
 				// A crashed root pushes nothing: its mass freezes in
 				// place instead of being silently halved away.
@@ -343,12 +374,13 @@ func Ave(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]convergec
 				eng.Send(r, relay, sim.Payload{Kind: kindAveShare})
 				continue
 			}
-			s[r] /= 2
-			g[r] /= 2
+			s[k] /= 2
+			g[k] /= 2
+			pay := sim.Payload{Kind: kindAveShare, A: s[k], B: g[k], X: int64(r)}
 			if s2 != nil {
-				s2[r] /= 2
+				s2[k] /= 2
+				pay.C = s2[k]
 			}
-			pay := sim.Payload{Kind: kindAveShare, A: s[r], B: g[r], C: s2[r], X: int64(r)}
 			before := eng.Stats().Drops
 			eng.SendVia(r, relay, dst, pay)
 			delivered := eng.Stats().Drops == before
@@ -362,7 +394,7 @@ func Ave(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]convergec
 				// or dst crashes before the next Tick (the engine then
 				// discards the message; mid-run crashes only), the
 				// sender takes it back, so no mass leaves the system.
-				reliableSent = append(reliableSent, inflight{r: r, dst: dst, lost: !delivered})
+				reliableSent = append(reliableSent, inflight{k: k, dst: dst, lost: !delivered})
 			}
 			if opts.TrackPotential {
 				// Mirror the halving in the contribution vectors and
@@ -370,14 +402,13 @@ func Ave(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]convergec
 				// round can mutate it. A reliably-restored share leaves
 				// the vectors untouched.
 				if !(opts.ReliableShares && !delivered) {
-					k := rootIdx[r]
 					for j := range y[k] {
 						y[k][j] /= 2
 					}
 					w[k] /= 2
-					if delivered && f.IsRoot(dst) {
+					if dk := f.RootIndex(dst); delivered && dk >= 0 {
 						shipped = append(shipped, shipment{
-							dst: rootIdx[dst],
+							dst: dk,
 							vec: append([]float64(nil), y[k]...),
 							w:   w[k],
 						})
@@ -391,26 +422,26 @@ func Ave(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]convergec
 				// Ack timeout: put the share back. Until the inbox pass
 				// below the sender still holds exactly the half it
 				// shipped, so doubling restores it.
-				s[sh.r] *= 2
-				g[sh.r] *= 2
+				s[sh.k] *= 2
+				g[sh.k] *= 2
 				if s2 != nil {
-					s2[sh.r] *= 2
+					s2[sh.k] *= 2
 				}
 			}
 		}
-		for _, r := range roots {
+		for k, r := range roots {
 			for _, m := range eng.Inbox(r) {
 				if m.Pay.Kind == kindAveShare {
-					s[r] += m.Pay.A
-					g[r] += m.Pay.B
+					s[k] += m.Pay.A
+					g[k] += m.Pay.B
 					if s2 != nil {
-						s2[r] += m.Pay.C
+						s2[k] += m.Pay.C
 					}
 				}
 			}
 		}
 		if eng.WantResidual() {
-			eng.ReportResidual(EstimateSpread(roots, s, g))
+			eng.ReportResidual(EstimateSpread(s, g))
 		}
 		if opts.TrackPotential {
 			for _, sh := range shipped {
@@ -421,9 +452,9 @@ func Ave(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]convergec
 			}
 			potentials = append(potentials, potential())
 		}
-		if opts.TrackRoot >= 0 {
-			if gv := g[opts.TrackRoot]; gv != 0 {
-				trajectory = append(trajectory, s[opts.TrackRoot]/gv)
+		if track >= 0 {
+			if gv := g[track]; gv != 0 {
+				trajectory = append(trajectory, s[track]/gv)
 			} else {
 				trajectory = append(trajectory, math.NaN())
 			}
@@ -431,7 +462,7 @@ func Ave(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]convergec
 	}
 
 	return &AveResult{
-		Estimates:  Ratios(roots, s, g),
+		Estimates:  Ratios(s, g),
 		S:          s,
 		G:          g,
 		S2:         s2,
@@ -441,15 +472,15 @@ func Ave(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]convergec
 	}, nil
 }
 
-// Ratios is each root's push-sum estimate num/g, NaN where no weight
+// Ratios is each tree's push-sum estimate num/g, NaN where no weight
 // ever arrived. The sparse pipeline reads its estimates the same way.
-func Ratios(roots []int, num, g map[int]float64) map[int]float64 {
-	est := make(map[int]float64, len(roots))
-	for _, r := range roots {
-		if g[r] != 0 {
-			est[r] = num[r] / g[r]
+func Ratios(num, g []float64) []float64 {
+	est := make([]float64, len(g))
+	for k, gv := range g {
+		if gv != 0 {
+			est[k] = num[k] / gv
 		} else {
-			est[r] = math.NaN()
+			est[k] = math.NaN()
 		}
 	}
 	return est
@@ -459,15 +490,13 @@ func Ratios(roots []int, num, g map[int]float64) map[int]float64 {
 // when a round observer is attached: the spread (max − min) of the
 // running ratio estimate s/g across roots with nonzero mass, which
 // push-sum drives to zero as shares mix. NaN when no root has mass yet.
-// It only reads driver state, so reporting it cannot perturb a run; the
-// roots iteration order does not affect a max/min reduction, keeping the
-// value deterministic. The sparse pipeline reports the same quantity
-// over its own share maps.
-func EstimateSpread(roots []int, s, g map[int]float64) float64 {
+// It only reads driver state, so reporting it cannot perturb a run. The
+// sparse pipeline reports the same quantity over its own share slices.
+func EstimateSpread(s, g []float64) float64 {
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, r := range roots {
-		if gv := g[r]; gv != 0 {
-			est := s[r] / gv
+	for k, gv := range g {
+		if gv != 0 {
+			est := s[k] / gv
 			if est < lo {
 				lo = est
 			}

@@ -13,7 +13,7 @@ import (
 
 // phase12 runs Phases I and II: DRR forest, convergecast (max and sum) and
 // the root-address broadcast.
-func phase12(t *testing.T, eng *sim.Engine, values []float64) (*forest.Forest, []int, map[int]float64, map[int]convergecast.SumCount) {
+func phase12(t *testing.T, eng *sim.Engine, values []float64) (*forest.Forest, []int, []float64, []convergecast.SumCount) {
 	t.Helper()
 	dres, err := drr.Run(eng, drr.Options{})
 	if err != nil {
@@ -140,6 +140,7 @@ func TestAveConvergesTheorem7(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	z = f.RootIndex(z)
 	want := agg.Exact(agg.Average, values, 0)
 	if e := agg.RelError(res.Estimates[z], want); e > 1e-6 {
 		t.Fatalf("largest-root estimate %v, want %v (rel err %v)", res.Estimates[z], want, e)
@@ -165,9 +166,9 @@ func TestAveMassConservationLossless(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sTot, gTot float64
-	for _, r := range f.Roots() {
-		sTot += res.S[r]
-		gTot += res.G[r]
+	for k := range f.Roots() {
+		sTot += res.S[k]
+		gTot += res.G[k]
 	}
 	if math.Abs(sTot-agg.Exact(agg.Sum, values, 0)) > 1e-6 {
 		t.Fatalf("push-sum lost value mass: %v", sTot)
@@ -188,7 +189,7 @@ func TestAveLargestRootOnlyGuarantee(t *testing.T) {
 	eng := sim.NewEngine(n, sim.Options{Seed: 28})
 	values := agg.GenSigned(n, 50, 12)
 	f, rootTo, _, covsum := phase12(t, eng, values)
-	z := f.LargestRoot()
+	z := f.RootIndex(f.LargestRoot())
 	res, err := Ave(eng, f, rootTo, covsum, AveOptions{TrackRoot: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -230,6 +231,7 @@ func TestAveUnderLossStaysClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	z = f.RootIndex(z)
 	want := agg.Exact(agg.Average, values, 0)
 	if e := agg.RelError(res.Estimates[z], want); e > 0.05 {
 		t.Fatalf("estimate %v vs %v: rel err %v too large under loss", res.Estimates[z], want, e)
@@ -274,6 +276,7 @@ func TestAveZeroMeanValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	z = f.RootIndex(z)
 	if math.Abs(res.Estimates[z]) > 1e-6 {
 		t.Fatalf("zero-mean estimate %v", res.Estimates[z])
 	}
@@ -284,12 +287,10 @@ func TestMissingInitRejected(t *testing.T) {
 	eng := sim.NewEngine(n, sim.Options{Seed: 32})
 	values := agg.GenUniform(n, 0, 1, 16)
 	f, rootTo, covmax, covsum := phase12(t, eng, values)
-	delete(covmax, f.Roots()[0])
-	if _, err := Max(eng, f, rootTo, covmax); err == nil {
+	if _, err := Max(eng, f, rootTo, covmax[:len(covmax)-1]); err == nil {
 		t.Fatal("missing max init accepted")
 	}
-	delete(covsum, f.Roots()[0])
-	if _, err := Ave(eng, f, rootTo, covsum, AveOptions{TrackRoot: -1}); err == nil {
+	if _, err := Ave(eng, f, rootTo, covsum[:len(covsum)-1], AveOptions{TrackRoot: -1}); err == nil {
 		t.Fatal("missing ave init accepted")
 	}
 }
@@ -301,8 +302,31 @@ func TestInputValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	badRootTo := make([]int, 5) // wrong length
-	if _, err := Max(eng, f, badRootTo, map[int]float64{0: 1, 4: 2}); err == nil {
+	if _, err := Max(eng, f, badRootTo, []float64{1, 2}); err == nil {
 		t.Fatal("bad rootTo length accepted")
+	}
+	rootTo := []int{0, 0, 0, 0, 4, 4, 4, 4}
+	init := []convergecast.SumCount{{Sum: 1, Count: 4}, {Sum: 2, Count: 4}}
+	if _, err := Ave(eng, f, rootTo, init, AveOptions{TrackRoot: 1}); err == nil {
+		t.Fatal("non-root TrackRoot accepted")
+	}
+}
+
+func TestElectionKeysRoundTrip(t *testing.T) {
+	// Trees rooted at 0, 4 and 6 with sizes 4, 2 and 1.
+	f, err := forest.FromParents([]int{forest.Root, 0, 0, 0, forest.Root, 4, forest.Root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := []convergecast.SumCount{{Count: 4}, {Count: 2}, {Count: 1}}
+	keys := ElectionKeys(f, sums)
+	if got := ElectedRoot(keys); got != 0 {
+		t.Fatalf("largest tree elected root %d, want 0", got)
+	}
+	// Equal sizes: the key order, hence the winner, follows the root id.
+	sums[1].Count = 4
+	if got := ElectedRoot(ElectionKeys(f, sums)); got != 4 {
+		t.Fatalf("tied trees elected root %d, want 4", got)
 	}
 }
 
@@ -368,7 +392,7 @@ func TestMomentsTriplePushSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	z := f.LargestRoot()
+	z := f.RootIndex(f.LargestRoot())
 	wantMean := agg.Exact(agg.Average, values, 0)
 	wantM2 := 0.0
 	for _, v := range values {
@@ -404,7 +428,7 @@ func TestMomentsReliableSharesUnderLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	z := f.LargestRoot()
+	z := f.RootIndex(f.LargestRoot())
 	wantMean := agg.Exact(agg.Average, values, 0)
 	if agg.RelError(res.Estimates[z], wantMean) > 1e-3 {
 		t.Fatalf("mean at z = %v, want %v under loss", res.Estimates[z], wantMean)
@@ -423,7 +447,7 @@ func TestMomentsMissingInit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Ave(eng, f, rootTo, map[int]convergecast.SumCount{}, AveOptions{TrackRoot: -1}); err == nil {
+	if _, err := Ave(eng, f, rootTo, []convergecast.SumCount{}, AveOptions{TrackRoot: -1}); err == nil {
 		t.Fatal("missing init accepted")
 	}
 }

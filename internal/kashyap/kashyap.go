@@ -218,29 +218,20 @@ func Ave(eng *sim.Engine, values []float64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys := make(map[int]float64, f.NumTrees())
-	for r, sc := range covsum {
-		keys[r] = float64(int(sc.Count))*(1<<24) + float64(r)
-	}
-	kres, err := gossip.Max(eng, f, rootTo, keys)
+	kres, err := gossip.Max(eng, f, rootTo, gossip.ElectionKeys(f, covsum))
 	if err != nil {
 		return nil, err
 	}
-	maxKey := math.Inf(-1)
-	for _, v := range kres.Estimates {
-		if v > maxKey {
-			maxKey = v
-		}
-	}
-	z := int(int64(maxKey) & (1<<24 - 1))
-	if !f.IsRoot(z) {
+	z := gossip.ElectedRoot(kres.Estimates)
+	zk := f.RootIndex(z)
+	if zk < 0 {
 		return nil, fmt.Errorf("kashyap: elected node %d is not a root", z)
 	}
 	ares, err := gossip.Ave(eng, f, rootTo, covsum, gossip.AveOptions{TrackRoot: -1})
 	if err != nil {
 		return nil, err
 	}
-	sres, err := gossip.Spread(eng, f, rootTo, z, ares.Estimates[z])
+	sres, err := gossip.Spread(eng, f, rootTo, z, ares.Estimates[zk])
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +239,7 @@ func Ave(eng *sim.Engine, values []float64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return finish(eng, f, ares.Estimates[z], perNode, build, runStart), nil
+	return finish(eng, f, ares.Estimates[zk], perNode, build, runStart), nil
 }
 
 func finish(eng *sim.Engine, f *forest.Forest, value float64, perNode []float64, build, runStart sim.Counters) *Result {

@@ -38,9 +38,9 @@ func TestClusterSizesCapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	cap := 4 * int(math.Ceil(math.Log2(float64(n))))
-	for root, size := range f.TreeSizes() {
+	for k, size := range f.TreeSizes() {
 		if size > cap {
-			t.Fatalf("cluster %d has size %d > cap %d", root, size, cap)
+			t.Fatalf("cluster %d has size %d > cap %d", f.Roots()[k], size, cap)
 		}
 	}
 }

@@ -56,6 +56,7 @@ type Fit struct {
 	R2      float64 // coefficient of determination
 }
 
+// String renders the fit as "C * shape (relRMSE r)".
 func (f Fit) String() string {
 	return fmt.Sprintf("%.4g * %s (relRMSE %.3f)", f.C, f.Shape.Name, f.RelRMSE)
 }
@@ -119,6 +120,7 @@ type AffineFit struct {
 	R2      float64
 }
 
+// String renders the fit as "A + C * shape (relRMSE r)".
 func (f AffineFit) String() string {
 	return fmt.Sprintf("%.4g + %.4g * %s (relRMSE %.3f)", f.A, f.C, f.Shape.Name, f.RelRMSE)
 }
