@@ -597,6 +597,32 @@ func BenchmarkPerfGraphNeighbors(b *testing.B) {
 	}
 }
 
+// BenchmarkPerfChordRoute routes a fixed set of (from, to) pairs on an
+// Even and a Hashed chord ring of benchN nodes through RouteInto with
+// one reused buffer — the routed gossip's per-exchange hot path. Zero
+// allocs/op and B/op are the pinned contract: a route writes its hops
+// into the caller's buffer and allocates nothing.
+func BenchmarkPerfChordRoute(b *testing.B) {
+	const pairs = 1024
+	ovs := []*overlay.Chord{
+		overlay.NewChord(chord.MustNew(benchN, chord.Options{Seed: 1})),
+		overlay.NewChord(chord.MustNew(benchN, chord.Options{Placement: chord.Hashed, Seed: 1})),
+	}
+	buf := make([]int, 0, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	hops := 0
+	for i := 0; i < b.N; i++ {
+		for _, ov := range ovs {
+			for p := 0; p < pairs; p++ {
+				buf = ov.RouteInto(p*31%benchN, p*2713%benchN, buf)
+				hops += len(buf)
+			}
+		}
+	}
+	b.ReportMetric(float64(hops)/float64(b.N*len(ovs)*pairs), "hops/route")
+}
+
 // --- public API ----------------------------------------------------------
 
 func BenchmarkFacadeAverage(b *testing.B) {

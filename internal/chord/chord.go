@@ -6,12 +6,17 @@
 // random peer in Chord" (see DESIGN.md §4, substitution 3).
 //
 // The ring is fully implicit: finger tables are never materialized.
-// Routing recomputes the O(bits) finger candidates of the current hop on
-// the fly (same asymptotic hop cost, zero storage), and the communication
-// graph is an implicit graph.Graph whose neighbour lists — forward
-// fingers, reverse fingers and ring links — are derived from closed-form
-// successor arithmetic (Even placement) or binary search over the sorted
-// identifier array (Hashed placement, the only O(n) state kept).
+// Finger k of node c is successor(ID(c) + 2^k), the first node at
+// clockwise offset >= 2^k from c (or c itself once no other node lies
+// that far), so its offset never decreases in k until it wraps to 0 and
+// stays there. The fingers strictly inside (ID(c), id) are therefore a
+// prefix k = 0..k* of the shifts, and routing finds the closest
+// preceding finger k* by binary search: O(log bits) SuccessorOf calls
+// per hop and zero storage. The communication graph is an implicit
+// graph.Graph whose neighbour lists — forward fingers, reverse fingers
+// and ring links — are derived from closed-form successor arithmetic
+// (Even placement) or binary search over the sorted identifier array
+// (Hashed placement, the only O(n) state kept).
 package chord
 
 import (
@@ -194,18 +199,17 @@ func (r *Ring) appendFingers(i int, buf []int) []int {
 // dist returns the clockwise identifier distance from a to b.
 func (r *Ring) dist(a, b uint64) uint64 { return (b - a) & (r.space - 1) }
 
-// Route returns the greedy finger-routing hop path from node `from` to the
-// node owning identifier id, excluding `from` itself. An empty path means
-// `from` already owns id. Hop count is O(log n) for both placements.
-func (r *Ring) Route(from int, id uint64) []int {
+// RouteInto appends the greedy finger-routing hop path from node `from`
+// to the node owning identifier id to buf[:0] and returns the extended
+// buffer. The path excludes `from` itself; it is empty when `from`
+// already owns id. Hop count is O(log n) for both placements. Like
+// graph.NeighborsInto, it writes only to buf, so callers sharing one
+// ring from several goroutines stay safe with distinct buffers.
+func (r *Ring) RouteInto(from int, id uint64, buf []int) []int {
 	id &= r.space - 1
+	path := buf[:0]
 	owner := r.SuccessorOf(id)
-	if owner == from {
-		return nil
-	}
-	var path []int
-	cur := from
-	for cur != owner {
+	for cur := from; cur != owner; {
 		next := r.closestPreceding(cur, id)
 		if next == cur {
 			// No finger strictly precedes id: the successor owns it.
@@ -222,41 +226,33 @@ func (r *Ring) Route(from int, id uint64) []int {
 
 // closestPreceding returns the finger of cur whose identifier is closest
 // to id while remaining strictly within the clockwise interval
-// (ids[cur], id); cur itself if none. Finger candidates are recomputed on
-// the fly; duplicate shifts landing on one node re-evaluate the same
-// distance, so the selected node is identical to scanning a deduplicated
-// finger table.
+// (ID(cur), id); cur itself if none. Finger offsets from cur are
+// nondecreasing in the shift k until they wrap to cur (offset 0), so
+// "finger k lies inside the interval" holds for exactly k = 0..k*, and
+// the closest finger is k*: a binary search over k finds it with
+// O(log bits) SuccessorOf calls, returning the same node as scanning
+// every finger.
 func (r *Ring) closestPreceding(cur int, id uint64) int {
 	curID := r.ID(cur)
+	limit := r.dist(curID, id)
 	best := cur
-	bestDist := r.dist(curID, id)
-	if bestDist == 0 {
-		return cur
-	}
-	for k := 0; k < r.bits; k++ {
-		f := r.SuccessorOf((curID + (uint64(1) << uint(k))) & (r.space - 1))
-		if f == cur {
-			continue
-		}
-		d := r.dist(r.ID(f), id)
-		// Strictly inside (cur, id): closer to id than cur is, nonzero.
-		if d < bestDist && d > 0 {
-			best = f
-			bestDist = d
+	// Fingers below lo are inside (ID(cur), id); fingers at hi and above
+	// are not. Every success raises lo past its k, so the last one seen
+	// is finger k* = lo-1.
+	lo, hi := 0, r.bits
+	for lo < hi {
+		k := (lo + hi) / 2
+		f := r.SuccessorOf(curID + uint64(1)<<uint(k))
+		if off := r.dist(curID, r.ID(f)); off > 0 && off < limit {
+			best, lo = f, k+1
+		} else {
+			hi = k
 		}
 	}
 	return best
 }
 
-// RouteToNode returns the hop path from node `from` to node `to`.
-func (r *Ring) RouteToNode(from, to int) []int {
-	if from == to {
-		return nil
-	}
-	return r.Route(from, r.ID(to))
-}
-
-// Sample draws a near-uniform random node by routing: pick a uniform
+// SampleInto draws a near-uniform random node by routing: pick a uniform
 // identifier, route to its owner, and accept with probability
 // min(1, avgArc/arc(owner)), which cancels the arc-length bias up to a
 // constant factor (P(node) ∝ min(arc, avgArc)). With Even placement every
@@ -267,19 +263,20 @@ func (r *Ring) RouteToNode(from, to int) []int {
 // of 64 tries bounds the worst case, after which the last candidate is
 // accepted.
 //
-// It returns the accepted node, the hop path of the accepted route, and
-// the total hops spent including rejected attempts (the message cost of
-// the sample).
-func (r *Ring) Sample(rng *xrand.Stream, from int) (node int, path []int, totalHops int) {
+// It returns the accepted node, the hop path of the accepted route
+// (written into buf under RouteInto's contract; rejected attempts reuse
+// it), and the total hops spent including rejected attempts (the
+// message cost of the sample).
+func (r *Ring) SampleInto(rng *xrand.Stream, from int, buf []int) (node int, path []int, totalHops int) {
 	avgArc := float64(r.space) / float64(r.n)
 	for try := 0; ; try++ {
 		id := rng.Uint64n(r.space)
-		p := r.Route(from, id)
-		totalHops += len(p)
+		buf = r.RouteInto(from, id, buf)
+		totalHops += len(buf)
 		owner := r.SuccessorOf(id)
 		a := float64(r.arc(owner))
 		if a <= avgArc || try >= 63 || rng.Float64() < avgArc/a {
-			return owner, p, totalHops
+			return owner, buf, totalHops
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package chord
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -57,7 +58,7 @@ func TestRouteReachesOwner(t *testing.T) {
 			from := rng.Intn(128)
 			id := rng.Uint64n(1 << 20)
 			owner := r.SuccessorOf(id)
-			path := r.Route(from, id)
+			path := r.RouteInto(from, id, nil)
 			if from == owner {
 				if len(path) != 0 {
 					t.Fatalf("self-route has hops: %v", path)
@@ -79,7 +80,7 @@ func TestRouteHopBound(t *testing.T) {
 		maxHops := 0
 		for trial := 0; trial < 300; trial++ {
 			from := rng.Intn(n)
-			path := r.Route(from, rng.Uint64n(1<<32))
+			path := r.RouteInto(from, rng.Uint64n(1<<32), nil)
 			if len(path) > maxHops {
 				maxHops = len(path)
 			}
@@ -96,7 +97,7 @@ func TestRouteToNode(t *testing.T) {
 	rng := xrand.New(2)
 	for trial := 0; trial < 200; trial++ {
 		from, to := rng.Intn(64), rng.Intn(64)
-		path := r.RouteToNode(from, to)
+		path := r.RouteInto(from, r.ID(to), nil)
 		if from == to {
 			if len(path) != 0 {
 				t.Fatal("self route nonempty")
@@ -104,7 +105,7 @@ func TestRouteToNode(t *testing.T) {
 			continue
 		}
 		if len(path) == 0 || path[len(path)-1] != to {
-			t.Fatalf("RouteToNode(%d,%d) = %v", from, to, path)
+			t.Fatalf("route %d->%d = %v", from, to, path)
 		}
 	}
 }
@@ -143,7 +144,7 @@ func TestSampleUniformEven(t *testing.T) {
 	const trials = 64000
 	totalHops := 0
 	for i := 0; i < trials; i++ {
-		node, _, hops := r.Sample(rng, i%n)
+		node, _, hops := r.SampleInto(rng, i%n, nil)
 		counts[node]++
 		totalHops += hops
 	}
@@ -167,7 +168,7 @@ func TestSampleHashedCoverage(t *testing.T) {
 	counts := make([]int, n)
 	const trials = 64000
 	for i := 0; i < trials; i++ {
-		node, _, _ := r.Sample(rng, 0)
+		node, _, _ := r.SampleInto(rng, 0, nil)
 		counts[node]++
 	}
 	want := float64(trials) / n
@@ -186,7 +187,7 @@ func TestSamplePathMatchesNode(t *testing.T) {
 	rng := xrand.New(5)
 	for i := 0; i < 200; i++ {
 		from := rng.Intn(32)
-		node, path, hops := r.Sample(rng, from)
+		node, path, hops := r.SampleInto(rng, from, nil)
 		if len(path) > 0 && path[len(path)-1] != node {
 			t.Fatalf("path %v does not end at sampled node %d", path, node)
 		}
@@ -242,18 +243,20 @@ func TestDeterministicConstruction(t *testing.T) {
 func BenchmarkRoute(b *testing.B) {
 	r := MustNew(4096, Options{Bits: 40, Placement: Hashed, Seed: 1})
 	rng := xrand.New(2)
+	var path []int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Route(rng.Intn(4096), rng.Uint64n(1<<40))
+		path = r.RouteInto(rng.Intn(4096), rng.Uint64n(1<<40), path)
 	}
 }
 
 func BenchmarkSample(b *testing.B) {
 	r := MustNew(4096, Options{Bits: 40, Placement: Hashed, Seed: 1})
 	rng := xrand.New(2)
+	var path []int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Sample(rng, i%4096)
+		_, path, _ = r.SampleInto(rng, i%4096, path)
 	}
 }
 
@@ -269,7 +272,7 @@ func TestRouteDistanceMonotone(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		from := rng.Intn(512)
 		id := rng.Uint64n(space)
-		path := r.Route(from, id)
+		path := r.RouteInto(from, id, nil)
 		owner := r.SuccessorOf(id)
 		d := dist(r.ID(from), id)
 		for k, hop := range path {
@@ -304,4 +307,114 @@ func TestFingerDistanceHalving(t *testing.T) {
 			t.Fatalf("node %d farthest finger only spans %d of 64", i, far)
 		}
 	}
+}
+
+// scanClosestPreceding is the reference closest-preceding finger: it
+// evaluates every shift k and keeps the finger strictly inside
+// (ID(cur), id) that is nearest to id. closestPreceding must agree with
+// it on every input.
+func scanClosestPreceding(r *Ring, cur int, id uint64) int {
+	curID := r.ID(cur)
+	best := cur
+	bestDist := r.dist(curID, id)
+	if bestDist == 0 {
+		return cur
+	}
+	for k := 0; k < r.bits; k++ {
+		f := r.SuccessorOf((curID + (uint64(1) << uint(k))) & (r.space - 1))
+		if f == cur {
+			continue
+		}
+		if d := r.dist(r.ID(f), id); d < bestDist && d > 0 {
+			best = f
+			bestDist = d
+		}
+	}
+	return best
+}
+
+func ceilLog2(n int) int { return int(math.Ceil(math.Log2(float64(n)))) }
+
+func TestClosestPrecedingMatchesScan(t *testing.T) {
+	for _, n := range []int{2, 3, 5, 17, 4096, 1 << 15, 100000} {
+		for _, bits := range []int{ceilLog2(n), 20, 40} {
+			for _, placement := range []Placement{Even, Hashed} {
+				r := MustNew(n, Options{Bits: bits, Placement: placement, Seed: uint64(n + bits)})
+				rng := xrand.New(uint64(7*n + bits))
+				check := func(cur int, id uint64) {
+					id &= r.space - 1
+					if got, want := r.closestPreceding(cur, id), scanClosestPreceding(r, cur, id); got != want {
+						t.Fatalf("n=%d bits=%d placement=%d: closestPreceding(%d, %d) = %d, scan says %d",
+							n, bits, placement, cur, id, got, want)
+					}
+				}
+				for trial := 0; trial < 1500; trial++ {
+					cur := rng.Intn(n)
+					check(cur, rng.Uint64n(r.space))
+					// Boundaries: an exact node identifier and the one
+					// just below it.
+					j := rng.Intn(n)
+					check(cur, r.ID(j))
+					check(cur, r.ID(j)-1)
+				}
+			}
+		}
+	}
+}
+
+// FuzzRoute checks greedy routing on arbitrary rings: a dirty reused
+// buffer routes like a fresh one, the route ends at the identifier's
+// owner, every hop is an edge of the communication graph, and every hop
+// is the reference scan's choice.
+func FuzzRoute(f *testing.F) {
+	f.Add(uint16(100), uint8(20), false, uint64(1), uint16(3), uint64(12345))
+	f.Add(uint16(2), uint8(1), false, uint64(0), uint16(1), uint64(0))
+	f.Add(uint16(17), uint8(5), true, uint64(9), uint16(16), uint64(31))
+	f.Add(uint16(4000), uint8(40), true, uint64(5), uint16(2999), uint64(1)<<39)
+	f.Fuzz(func(t *testing.T, n16 uint16, bits8 uint8, hashed bool, seed uint64, from16 uint16, id uint64) {
+		n := 2 + int(n16)%4095
+		bits := ceilLog2(n) + int(bits8)%(63-ceilLog2(n))
+		placement := Even
+		if hashed {
+			placement = Hashed
+		}
+		r, err := New(n, Options{Bits: bits, Placement: placement, Seed: seed})
+		if err != nil {
+			t.Fatalf("n=%d bits=%d: %v", n, bits, err)
+		}
+		from := int(from16) % n
+
+		want := r.RouteInto(from, id, nil)
+		dirty := []int{-1, -2, -3, -4, -5, -6, -7, -8}
+		got := r.RouteInto(from, id, dirty[:3])
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("reused buffer routes %v, fresh %v", got, want)
+		}
+
+		owner := r.SuccessorOf(id)
+		if from == owner {
+			if len(want) != 0 {
+				t.Fatalf("self-route %d -> id %d has hops %v", from, id, want)
+			}
+			return
+		}
+		if len(want) == 0 || want[len(want)-1] != owner {
+			t.Fatalf("route %d -> id %d ends at %v, owner %d", from, id, want, owner)
+		}
+		g := r.Graph()
+		cur := from
+		for _, hop := range want {
+			if !g.HasEdge(cur, hop) {
+				t.Fatalf("route %d -> id %d uses non-edge (%d,%d)", from, id, cur, hop)
+			}
+			next := scanClosestPreceding(r, cur, id&(r.space-1))
+			if next == cur {
+				next = (cur + 1) % n
+			}
+			if hop != next {
+				t.Fatalf("route %d -> id %d hops %d -> %d, scan says %d", from, id, cur, hop, next)
+			}
+			cur = hop
+		}
+	})
 }

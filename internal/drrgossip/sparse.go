@@ -36,10 +36,9 @@ const (
 	kindSparseShare uint8 = 0x44
 )
 
-// climbPath returns the tree path from node j up to its root (excluding
-// j itself); empty when j is a root.
-func climbPath(f *forest.Forest, j int) []int {
-	var path []int
+// appendClimb appends the tree path from node j up to its root
+// (excluding j itself) to path; nothing when j is a root.
+func appendClimb(path []int, f *forest.Forest, j int) []int {
 	for cur := j; !f.IsRoot(cur); {
 		cur = f.Parent(cur)
 		path = append(path, cur)
@@ -48,34 +47,34 @@ func climbPath(f *forest.Forest, j int) []int {
 }
 
 // sampleRootPath draws a near-uniform random node as seen from root r
-// and returns the hop path to that node's root: overlay-route to the
-// sampled node, then climb its ranking tree. The routing cost of
-// rejected sampling attempts is charged to the engine. An empty path
-// means the sample landed on r itself — or, under dynamic membership,
-// on a node that has crashed out of the forest: the route is still paid
-// for, but there is no tree to climb and callers keep their mass.
-func sampleRootPath(eng *sim.Engine, ov overlay.Overlay, f *forest.Forest, r int) []int {
-	j, path, totalHops := ov.Sample(eng.RNG(r), r)
+// and writes the hop path to that node's root into buf (the caller's
+// scratch, returned extended): overlay-route to the sampled node, then
+// climb its ranking tree. The routing cost of rejected sampling attempts
+// is charged to the engine. An empty path means the sample landed on r
+// itself — or, under dynamic membership, on a node that has crashed out
+// of the forest: the route is still paid for, but there is no tree to
+// climb and callers keep their mass.
+func sampleRootPath(eng *sim.Engine, ov overlay.Overlay, f *forest.Forest, r int, buf []int) []int {
+	j, path, totalHops := ov.SampleInto(eng.RNG(r), r, buf)
 	if extra := totalHops - len(path); extra > 0 {
 		eng.Charge(int64(extra)) // rejected routing attempts are traffic too
 	}
 	if !f.Member(j) {
 		eng.Charge(int64(len(path))) // the route to the dead end is traffic too
-		return nil
+		return path[:0]
 	}
-	return append(append([]int(nil), path...), climbPath(f, j)...)
+	return appendClimb(path, f, j)
 }
 
 // shipToRandomRoot routes a payload from root r to the root of a
-// near-uniform random node. Returns false when the sample landed on r
-// itself.
-func shipToRandomRoot(eng *sim.Engine, ov overlay.Overlay, f *forest.Forest, r int, pay sim.Payload) bool {
-	full := sampleRootPath(eng, ov, f, r)
-	if len(full) == 0 {
-		return false // sampled own root; nothing to transmit
+// near-uniform random node, using buf as path scratch (returned for
+// reuse). It sends nothing when the sample landed on r itself.
+func shipToRandomRoot(eng *sim.Engine, ov overlay.Overlay, f *forest.Forest, r int, pay sim.Payload, buf []int) []int {
+	full := sampleRootPath(eng, ov, f, r, buf)
+	if len(full) > 0 { // an empty path sampled r's own root: nothing to transmit
+		eng.SendRouted(r, full, pay)
 	}
-	eng.SendRouted(r, full, pay)
-	return true
+	return full
 }
 
 // drainTicks advances the engine `ticks` rounds, invoking scan with the
@@ -139,13 +138,14 @@ func (rt routed) gossipMax(eng *sim.Engine, f *forest.Forest, init []float64) ([
 	val := append([]float64(nil), init...)
 	ticks := ticksPerIteration(rt.ov, f)
 	n := eng.N()
+	var path []int // this run's route scratch
 
 	for t := 0; t < gossipIters(n); t++ {
 		for k, r := range roots {
 			if !eng.Alive(r) {
 				continue // crashed roots place no calls
 			}
-			shipToRandomRoot(eng, rt.ov, f, r, sim.Payload{Kind: kindSparseVal, A: val[k]})
+			path = shipToRandomRoot(eng, rt.ov, f, r, sim.Payload{Kind: kindSparseVal, A: val[k]}, path)
 		}
 		drainTicks(eng, roots, ticks, func(k int, m sim.Message) {
 			if m.Pay.Kind == kindSparseVal && m.Pay.A > val[k] {
@@ -161,7 +161,7 @@ func (rt routed) gossipMax(eng *sim.Engine, f *forest.Forest, init []float64) ([
 			if !eng.Alive(r) {
 				continue
 			}
-			shipToRandomRoot(eng, rt.ov, f, r, sim.Payload{Kind: kindSparseInq, X: int64(r)})
+			path = shipToRandomRoot(eng, rt.ov, f, r, sim.Payload{Kind: kindSparseInq, X: int64(r)}, path)
 		}
 		drainTicks(eng, roots, ticks, func(k int, m sim.Message) {
 			if m.Pay.Kind == kindSparseInq {
@@ -170,7 +170,7 @@ func (rt routed) gossipMax(eng *sim.Engine, f *forest.Forest, init []float64) ([
 		})
 		for _, inq := range inquiries {
 			responder := roots[inq.responder]
-			path := rt.ov.Route(responder, inq.inquirer)
+			path = rt.ov.RouteInto(responder, inq.inquirer, path)
 			if len(path) == 0 {
 				continue
 			}
@@ -209,12 +209,13 @@ func (rt routed) gossipAve(eng *sim.Engine, f *forest.Forest, init []convergecas
 		s, g        float64
 	}
 	var pendingShares []inflight
+	var full []int // this run's route scratch
 	for t := 0; t < aveIters(eng.N()); t++ {
 		for k, r := range roots {
 			if !eng.Alive(r) {
 				continue // a crashed root's (s, g) mass freezes in place
 			}
-			full := sampleRootPath(eng, rt.ov, f, r)
+			full = sampleRootPath(eng, rt.ov, f, r, full)
 			if len(full) == 0 {
 				continue // sampled own root (or a dead end); mass stays
 			}

@@ -135,7 +135,7 @@ func TestClimbPath(t *testing.T) {
 	}
 	f := res.Forest
 	for i := 0; i < n; i++ {
-		p := climbPath(f, i)
+		p := appendClimb(nil, f, i)
 		if f.IsRoot(i) {
 			if len(p) != 0 {
 				t.Fatalf("root %d has climb path %v", i, p)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -109,6 +110,37 @@ func TestSC1SmallSizes(t *testing.T) {
 		}
 		if !v.Pass {
 			t.Logf("SC1 fit verdict at toy sizes: %s (%s)", v.Name, v.Detail)
+		}
+	}
+}
+
+// SC1's rssMB is per row: a window reset after a large, since-freed
+// allocation must not report that allocation's peak, on the VmHWM path
+// and on the sampled-runtime fallback alike.
+func TestPeakRSSResetsPerWindow(t *testing.T) {
+	const size = 96 << 20
+	for _, fallback := range []bool{false, true} {
+		var rss peakRSS
+		window := func() {
+			rss.reset()
+			if fallback {
+				rss.kernel, rss.sampled = false, 0
+				rss.sample()
+			}
+		}
+		window()
+		withBig := func() float64 {
+			big := make([]byte, size)
+			for i := range big {
+				big[i] = byte(i)
+			}
+			defer runtime.KeepAlive(big)
+			return rss.peakMB()
+		}()
+		window()
+		if after := rss.peakMB(); withBig-after < size/2/(1<<20) {
+			t.Fatalf("fallback=%v: peak %.0f MB after reset, %.0f MB with a %d MB buffer live",
+				fallback, after, withBig, size>>20)
 		}
 	}
 }

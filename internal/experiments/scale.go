@@ -107,28 +107,63 @@ func RunSC1(cfg Config) (*Report, error) {
 	return runSC1(cfg, sc1Sizes(cfg), sc1Topologies, sc1MemLegN)
 }
 
-// peakRSSMB returns the process peak resident set in MiB, read from
-// /proc/self/status VmHWM, falling back to the Go runtime's OS footprint
-// (MemStats.Sys) where procfs is unavailable. Both are monotone process
-// high-water marks, which is why the memory leg runs before the ladder:
-// its reading reflects only the budgeted run.
-func peakRSSMB() float64 {
-	if status, err := os.ReadFile("/proc/self/status"); err == nil {
-		for _, line := range strings.Split(string(status), "\n") {
-			if !strings.HasPrefix(line, "VmHWM:") {
-				continue
-			}
-			fields := strings.Fields(line)
-			if len(fields) >= 2 {
-				if kb, err := strconv.ParseFloat(fields[1], 64); err == nil {
-					return kb / 1024
-				}
-			}
-		}
+// peakRSS measures one row's own peak resident set in MiB. On Linux,
+// reset returns freed memory to the OS and writes 5 to
+// /proc/self/clear_refs, which restarts the kernel's VmHWM high-water
+// mark, so an earlier, larger row (the chord 10^6 memory leg) cannot
+// leak into a later reading. Where that reset is refused, it falls back
+// to sampling the runtime's mapped-and-unreleased memory at the window's
+// start and end, a lower bound on the row's peak.
+type peakRSS struct {
+	kernel  bool
+	sampled float64
+}
+
+// reset starts a new measurement window.
+func (p *peakRSS) reset() {
+	debug.FreeOSMemory() // collects first
+	p.kernel = os.WriteFile("/proc/self/clear_refs", []byte("5"), 0) == nil && vmHWMMB() > 0
+	p.sampled = 0
+	p.sample()
+}
+
+// sample records the runtime's current footprint (fallback path only).
+func (p *peakRSS) sample() {
+	if p.kernel {
+		return
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	return float64(ms.Sys) / (1 << 20)
+	p.sampled = math.Max(p.sampled, float64(ms.Sys-ms.HeapReleased)/(1<<20))
+}
+
+// peakMB returns the window's peak.
+func (p *peakRSS) peakMB() float64 {
+	if p.kernel {
+		return vmHWMMB()
+	}
+	p.sample()
+	return p.sampled
+}
+
+// vmHWMMB reads the process's peak resident set from /proc/self/status
+// VmHWM, in MiB (0 if unknown).
+func vmHWMMB() float64 {
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0
+	}
+	for _, line := range strings.Split(string(status), "\n") {
+		if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			if fields := strings.Fields(rest); len(fields) > 0 {
+				if kb, err := strconv.ParseFloat(fields[0], 64); err == nil {
+					return kb / 1024
+				}
+			}
+			return 0
+		}
+	}
+	return 0
 }
 
 // liveHeapMB returns the post-GC live heap in MiB; deltas around a
@@ -185,18 +220,19 @@ func runSC1(cfg Config, sizes []int, topos []facade.Topology, memLegN int) (*Rep
 		return ans, time.Since(start), graphMB, err
 	}
 
-	// Memory leg first: peak RSS is process-monotone, so the budgeted
-	// chord run must happen before the (larger) ladder sizes touch the
-	// high-water mark.
+	// Memory leg first, its peak read from a window reset just before
+	// the budgeted chord run.
+	var rss peakRSS
 	memBudgetMB := max(1536, sc1MemBudgetMB*memLegN/sc1MemLegN)
 	memValues := genValues(memLegN)
 	prevLimit := debug.SetMemoryLimit(sc1MemLimit)
+	rss.reset()
 	memAns, memElapsed, _, err := measure(facade.Chord, memLegN, sc1Workers, false, memValues)
 	debug.SetMemoryLimit(prevLimit)
 	if err != nil {
 		return nil, fmt.Errorf("SC1 memory leg chord n=%d: %w", memLegN, err)
 	}
-	memPeak := peakRSSMB()
+	memPeak := rss.peakMB()
 	memWant := agg.Exact(agg.Average, memValues, 0)
 	if agg.RelError(memAns.Value, memWant) > 1e-4 {
 		return nil, fmt.Errorf("SC1 memory leg: Ave %v drifted from exact %v", memAns.Value, memWant)
@@ -242,6 +278,7 @@ func runSC1(cfg Config, sizes []int, topos []facade.Topology, memLegN int) (*Rep
 				continue
 			}
 			values := genValues(n)
+			rss.reset()
 			ans, elapsed, graphMB, err := measure(topo, n, sc1Workers, false, values)
 			if err != nil {
 				return nil, fmt.Errorf("SC1 %s n=%d: %w", topo, n, err)
@@ -261,13 +298,13 @@ func runSC1(cfg Config, sizes []int, topos []facade.Topology, memLegN int) (*Rep
 			loglog := math.Log2(math.Log2(nf))
 			tb.AddRow(topo.String(), n, float64(ans.Cost.Rounds), float64(ans.Cost.Messages),
 				float64(ans.Cost.Messages)/nf, float64(ans.Cost.Messages)/(nf*loglog),
-				ans.Trees, elapsed.Seconds(), graphMB, peakRSSMB())
+				ans.Trees, elapsed.Seconds(), graphMB, rss.peakMB())
 			record(topo.String(), "rounds", float64(ans.Cost.Rounds))
 			record(topo.String(), "msgs/n", float64(ans.Cost.Messages)/nf)
 			topoNs[topo.String()] = append(topoNs[topo.String()], nf)
 		}
 	}
-	tb.AddNote("elapsed and rssMB (peak RSS via VmHWM, monotone across rows) are host-dependent observability columns; graphMB is the live-heap delta retained by the session build; every other column is deterministic in the seed")
+	tb.AddNote("elapsed and rssMB (the row's own peak RSS: VmHWM reset before each row, else sampled runtime memory) are host-dependent observability columns; graphMB is the live-heap delta retained by the session build; every other column is deterministic in the seed")
 	if capped {
 		tb.AddNote("smallworld capped at n=%d: its Θ(n) root count makes the routed bill ~n·log² n (the full ladder is carried by complete and chord; the old 3×10^5 storage ceiling is gone with the CSR builder)", sc1SmallWorldCap)
 	}

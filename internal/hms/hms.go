@@ -229,16 +229,18 @@ func denseBatch(eng *sim.Engine, values []float64, streams []xrand.Stream, colle
 }
 
 // sparseBatch performs one overlay sampling batch: every alive node draws
-// a near-uniform peer via the overlay's Sample walk (rejected hops are
+// a near-uniform peer via the overlay's SampleInto walk (rejected hops are
 // charged like every sparse driver does), routes it a request, and the
 // callee routes the value back. 2·RouteBound rounds drain both legs.
 func sparseBatch(eng *sim.Engine, ov overlay.Overlay, values []float64, streams []xrand.Stream, collect func(float64)) {
 	n := eng.N()
+	var path []int // this batch's route scratch
 	for i := 0; i < n; i++ {
 		if !eng.Alive(i) {
 			continue
 		}
-		peer, path, totalHops := ov.Sample(&streams[i], i)
+		var peer, totalHops int
+		peer, path, totalHops = ov.SampleInto(&streams[i], i, path)
 		eng.Charge(int64(totalHops - len(path)))
 		if peer == i || len(path) == 0 {
 			// Self-sample: the value is local, no traffic needed.
@@ -258,8 +260,8 @@ func sparseBatch(eng *sim.Engine, ov overlay.Overlay, values []float64, streams 
 				switch msg.Pay.Kind {
 				case kindSampleReq:
 					caller := int(msg.Pay.X)
-					if route := ov.Route(node, caller); len(route) > 0 {
-						eng.SendRouted(node, route, sim.Payload{Kind: kindSampleReply, A: values[node]})
+					if path = ov.RouteInto(node, caller, path); len(path) > 0 {
+						eng.SendRouted(node, path, sim.Payload{Kind: kindSampleReply, A: values[node]})
 					}
 				case kindSampleReply:
 					collect(msg.Pay.A)

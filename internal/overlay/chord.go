@@ -31,13 +31,20 @@ func (c *Chord) Name() string { return c.g.Name() }
 // Graph implements Overlay.
 func (c *Chord) Graph() *graph.Graph { return c.g }
 
-// Route implements Overlay via greedy finger routing.
-func (c *Chord) Route(from, to int) []int { return c.ring.RouteToNode(from, to) }
+// RouteInto implements Overlay via greedy finger routing to the target
+// node's identifier (which the target owns, so from == to routes
+// nowhere).
+func (c *Chord) RouteInto(from, to int, buf []int) []int {
+	return c.ring.RouteInto(from, c.ring.ID(to), buf)
+}
 
-// Sample implements Overlay via the ring's rejection sampler (uniform
-// identifier → owner, arc-bias cancelled by rejection).
-func (c *Chord) Sample(rng *xrand.Stream, from int) (int, []int, int) {
-	return c.ring.Sample(rng, from)
+// Route is RouteInto into a fresh buffer, for one-off probes.
+func (c *Chord) Route(from, to int) []int { return c.RouteInto(from, to, nil) }
+
+// SampleInto implements Overlay via the ring's rejection sampler
+// (uniform identifier → owner, arc-bias cancelled by rejection).
+func (c *Chord) SampleInto(rng *xrand.Stream, from int, buf []int) (int, []int, int) {
+	return c.ring.SampleInto(rng, from, buf)
 }
 
 // RouteBound implements Overlay: a greedy Chord route halves the

@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"fmt"
+	"slices"
 
 	"drrgossip/internal/graph"
 	"drrgossip/internal/xrand"
@@ -100,42 +101,48 @@ func (l *Landmark) Graph() *graph.Graph { return l.g }
 // Landmark returns the tree root (exposed for tests).
 func (l *Landmark) Landmark() int { return l.landmark }
 
-// Route implements Overlay: ascend from both endpoints to their lowest
-// common ancestor in the landmark tree, then descend to the target.
-// Every hop is a tree edge, hence a graph edge.
-func (l *Landmark) Route(from, to int) []int {
+// RouteInto implements Overlay: ascend from both endpoints to their
+// lowest common ancestor in the landmark tree, then descend to the
+// target. Every hop is a tree edge, hence a graph edge.
+func (l *Landmark) RouteInto(from, to int, buf []int) []int {
+	path := buf[:0]
 	if from == to {
-		return nil
+		return path
 	}
-	a, b := from, to
-	var up, down []int // from-side ascent; to-side ascent (bottom-up)
+	lca := l.ancestor(from, to)
+	for a := from; a != lca; {
+		a = l.parent[a]
+		path = append(path, a)
+	}
+	// The to-side hops, collected bottom-up and then put top-down.
+	down := len(path)
+	for b := to; b != lca; b = l.parent[b] {
+		path = append(path, b)
+	}
+	slices.Reverse(path[down:])
+	return path
+}
+
+// ancestor returns the lowest common ancestor of a and b in the
+// landmark tree.
+func (l *Landmark) ancestor(a, b int) int {
 	for l.depth[a] > l.depth[b] {
 		a = l.parent[a]
-		up = append(up, a)
 	}
 	for l.depth[b] > l.depth[a] {
-		down = append(down, b)
 		b = l.parent[b]
 	}
 	for a != b {
-		a = l.parent[a]
-		up = append(up, a)
-		down = append(down, b)
-		b = l.parent[b]
+		a, b = l.parent[a], l.parent[b]
 	}
-	// a == b is the LCA; up already ends there (or is empty when from is
-	// the LCA). Walk down the to-side in top-down order.
-	for i := len(down) - 1; i >= 0; i-- {
-		up = append(up, down[i])
-	}
-	return up
+	return a
 }
 
-// Sample implements Overlay: an exactly uniform node, whose cost is the
-// one route to it.
-func (l *Landmark) Sample(rng *xrand.Stream, from int) (int, []int, int) {
+// SampleInto implements Overlay: an exactly uniform node, whose cost is
+// the one route to it.
+func (l *Landmark) SampleInto(rng *xrand.Stream, from int, buf []int) (int, []int, int) {
 	j := rng.Intn(l.g.N())
-	path := l.Route(from, j)
+	path := l.RouteInto(from, j, buf)
 	return j, path, len(path)
 }
 

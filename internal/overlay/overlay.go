@@ -37,20 +37,24 @@ type Overlay interface {
 	// object on every call (construction happens once).
 	Graph() *graph.Graph
 
-	// Route returns the hop path from node `from` to node `to`,
-	// excluding `from` and ending at `to`; nil/empty when from == to.
-	// Every consecutive pair must be an edge of Graph().
-	Route(from, to int) []int
+	// RouteInto appends the hop path from node `from` to node `to` to
+	// buf[:0] and returns the extended buffer: the path excludes `from`,
+	// ends at `to`, and is empty when from == to. Every consecutive pair
+	// must be an edge of Graph(). The caller owns buf (the contract of
+	// graph.NeighborsInto): implementations write nothing else, so batch
+	// workers sharing one overlay each pass their own buffer.
+	RouteInto(from, to int, buf []int) []int
 
-	// Sample draws a (near-)uniform random node using rng, as seen from
-	// node `from`. It returns the sampled node, the hop path from `from`
-	// to it (empty when the sample is `from` itself), and the total
-	// routing hops spent including rejected attempts — the message cost
-	// of the sample, which callers must charge to the network bill.
-	Sample(rng *xrand.Stream, from int) (node int, path []int, totalHops int)
+	// SampleInto draws a (near-)uniform random node using rng, as seen
+	// from node `from`. It returns the sampled node, the hop path from
+	// `from` to it (written into buf as RouteInto does; empty when the
+	// sample is `from` itself), and the total routing hops spent
+	// including rejected attempts — the message cost of the sample,
+	// which callers must charge to the network bill.
+	SampleInto(rng *xrand.Stream, from int, buf []int) (node int, path []int, totalHops int)
 
 	// RouteBound returns an upper bound on the length of any path that
-	// Route or Sample can return. The pipeline uses it to size its
+	// RouteInto or SampleInto can return. The pipeline uses it to size its
 	// per-iteration drain window.
 	RouteBound() int
 }

@@ -20,7 +20,7 @@ func checkRoutes(t *testing.T, ov Overlay) {
 	rng := xrand.New(99)
 	for trial := 0; trial < 200; trial++ {
 		from, to := rng.Intn(n), rng.Intn(n)
-		path := ov.Route(from, to)
+		path := ov.RouteInto(from, to, nil)
 		if from == to {
 			if len(path) != 0 {
 				t.Fatalf("%s: Route(%d,%d) self-route returned %v", ov.Name(), from, to, path)
@@ -52,7 +52,7 @@ func checkSampler(t *testing.T, ov Overlay) {
 	rng := xrand.New(7)
 	seen := make(map[int]bool)
 	for trial := 0; trial < 40*n; trial++ {
-		node, path, totalHops := ov.Sample(rng, trial%n)
+		node, path, totalHops := ov.SampleInto(rng, trial%n, nil)
 		if node < 0 || node >= n {
 			t.Fatalf("%s: sampled out-of-range node %d", ov.Name(), node)
 		}
@@ -127,7 +127,7 @@ func TestChordAdapterMatchesRing(t *testing.T) {
 	for from := 0; from < 128; from += 7 {
 		for to := 0; to < 128; to += 11 {
 			got := ov.Route(from, to)
-			want := ring.RouteToNode(from, to)
+			want := ring.RouteInto(from, ring.ID(to), nil)
 			if len(got) != len(want) {
 				t.Fatalf("Route(%d,%d) = %v, ring says %v", from, to, got, want)
 			}
@@ -141,8 +141,8 @@ func TestChordAdapterMatchesRing(t *testing.T) {
 	// The sampler must consume the RNG exactly like the ring's own.
 	a, b := xrand.New(5), xrand.New(5)
 	for i := 0; i < 50; i++ {
-		n1, p1, h1 := ov.Sample(a, i%128)
-		n2, p2, h2 := ring.Sample(b, i%128)
+		n1, p1, h1 := ov.SampleInto(a, i%128, nil)
+		n2, p2, h2 := ring.SampleInto(b, i%128, nil)
 		if n1 != n2 || h1 != h2 || len(p1) != len(p2) {
 			t.Fatalf("adapter sample (%d,%v,%d) != ring sample (%d,%v,%d)", n1, p1, h1, n2, p2, h2)
 		}

@@ -5,7 +5,10 @@ package sim
 // allocation-free out of the pool, and burst capacity beyond the budget
 // is released to the GC instead of retained forever.
 
-import "testing"
+import (
+	"math/bits"
+	"testing"
+)
 
 // The retained pool capacity must never exceed the budget, even after
 // burst rounds far larger than steady state, and must stay consistent
@@ -109,5 +112,26 @@ func TestPoolReuseBitIdentical(t *testing.T) {
 	e.Reset(opts)
 	if got := drive(e); got != fresh {
 		t.Fatalf("reused engine diverged:\n fresh  %+v\n reused %+v", fresh, got)
+	}
+}
+
+// A burst into one slot grows its queue by doubling once it passes
+// doublingFloor, so 2^20 sends cost about log2(2^20/doublingFloor)
+// allocations rather than the dozens of ~1.25× steps plain append takes.
+func TestBurstQueueGrowsByDoubling(t *testing.T) {
+	const burst = 1 << 20
+	e := NewEngine(2, Options{Seed: 1}) // poolBudget 8192: the burst array is never retained
+	bound := float64(bits.Len(burst/doublingFloor-1) + 2)
+	allocs := testing.AllocsPerRun(3, func() {
+		// Start from a pooled doublingFloor-sized queue, as earlier
+		// traffic leaves one; below the floor append already doubles.
+		e.recycle(make([]Message, 0, doublingFloor))
+		for i := 0; i < burst; i++ {
+			e.Send(0, 1, Payload{})
+		}
+		e.Tick()
+	})
+	if allocs > bound {
+		t.Fatalf("burst of %d sends allocated %v times, want <= %v", burst, allocs, bound)
 	}
 }

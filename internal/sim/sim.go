@@ -739,6 +739,13 @@ func (e *Engine) popQueue() []Message {
 	return q
 }
 
+// doublingFloor is the queue length from which a full delivery queue
+// grows to twice its capacity. Below it append already doubles; above
+// it append grows by ~1.25×, so a million-message burst (the rank
+// exchange) would allocate about five times its final size instead of
+// two.
+const doublingFloor = 256
+
 // scheduleAt enqueues a delivery for the given absolute round (which is
 // always in the future: sends schedule at e.c.Rounds+k, k >= 1, so a
 // slot holds messages for exactly one round at a time). Queuing by the
@@ -753,6 +760,11 @@ func (e *Engine) scheduleAt(round int, m Message) {
 	q := e.ring[slot][sh]
 	if q == nil {
 		q = e.popQueue()
+	}
+	if len(q) == cap(q) && len(q) >= doublingFloor {
+		grown := make([]Message, len(q), 2*len(q))
+		copy(grown, q)
+		q = grown
 	}
 	e.ring[slot][sh] = append(q, m)
 	e.inflight++
